@@ -12,9 +12,7 @@
 package buffercache
 
 import (
-	"container/list"
 	"fmt"
-	"sort"
 
 	"essio/internal/blockio"
 	"essio/internal/iotrace"
@@ -53,8 +51,61 @@ type buffer struct {
 	gen    uint64
 	origin trace.Origin // who dirtied this buffer (for write-back tagging)
 	req    uint64       // I/O journey that dirtied this buffer (write-back attribution)
-	elem   *list.Element
+	stamp  uint64       // recency: the cache's touch counter at the last touch
+	prev   *buffer      // neighbours on the clean or dirty list, as dirty names;
+	next   *buffer      // next is the less recently used side
 	wq     *sim.WaitQueue
+}
+
+// lru is an intrusive list of buffers around a sentinel, ordered by stamp:
+// the front (root.next) is the most recently used buffer, the back
+// (root.prev) the least.
+type lru struct {
+	root buffer
+	len  int
+}
+
+func (l *lru) init() { l.root.prev, l.root.next = &l.root, &l.root }
+
+func (l *lru) insertAfter(b, at *buffer) {
+	b.prev, b.next = at, at.next
+	at.next.prev = b
+	at.next = b
+	l.len++
+}
+
+func (l *lru) remove(b *buffer) {
+	b.prev.next, b.next.prev = b.next, b.prev
+	b.prev, b.next = nil, nil
+	l.len--
+}
+
+// insert links b at its stamp position. It walks in from both ends at
+// once, so a buffer that belongs near either end takes a step or two.
+func (l *lru) insert(b *buffer) {
+	front, back := l.root.next, l.root.prev
+	for {
+		if front == &l.root || front.stamp < b.stamp {
+			l.insertAfter(b, front.prev)
+			return
+		}
+		if back.stamp > b.stamp {
+			l.insertAfter(b, back)
+			return
+		}
+		front, back = front.next, back.prev
+	}
+}
+
+// oldest returns the least recently used buffer whose busy flag equals
+// busy, or nil.
+func (l *lru) oldest(busy bool) *buffer {
+	for b := l.root.prev; b != &l.root; b = b.prev {
+		if b.busy == busy {
+			return b
+		}
+	}
+	return nil
 }
 
 // Cache is one node's buffer cache over one block queue.
@@ -63,7 +114,8 @@ type Cache struct {
 	q            *blockio.Queue
 	capacity     int
 	blocks       map[uint32]*buffer
-	lru          *list.List // front = most recently used
+	clean, dirty lru    // every resident buffer is on the list its dirty flag names
+	stamp        uint64 // touch counter; orders both lists
 	stats        Stats
 	readAhead    int
 	writeThrough bool
@@ -111,12 +163,14 @@ func New(e *sim.Engine, q *blockio.Queue, capacity int) *Cache {
 	if capacity < 2 {
 		panic("buffercache: capacity must be at least 2 blocks")
 	}
-	return &Cache{
+	c := &Cache{
 		e: e, q: q, capacity: capacity,
 		blocks:    make(map[uint32]*buffer),
-		lru:       list.New(),
 		readAhead: DefaultReadAhead,
 	}
+	c.clean.init()
+	c.dirty.init()
+	return c
 }
 
 // SetReadAhead changes the read-ahead window in blocks (0 disables).
@@ -134,20 +188,54 @@ func (c *Cache) ReadAhead() int { return c.readAhead }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // DirtyCount reports how many buffers are dirty.
-func (c *Cache) DirtyCount() int {
-	n := 0
-	for _, b := range c.blocks {
-		if b.dirty {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cache) DirtyCount() int { return c.dirty.len }
 
 // Len reports the number of resident buffers.
 func (c *Cache) Len() int { return len(c.blocks) }
 
-func (c *Cache) touch(b *buffer) { c.lru.MoveToFront(b.elem) }
+// listOf returns the list b belongs on.
+func (c *Cache) listOf(b *buffer) *lru {
+	if b.dirty {
+		return &c.dirty
+	}
+	return &c.clean
+}
+
+// touch makes b the most recently used buffer.
+func (c *Cache) touch(b *buffer) {
+	c.stamp++
+	b.stamp = c.stamp
+	l := c.listOf(b)
+	l.remove(b)
+	l.insertAfter(b, &l.root)
+}
+
+// setDirty sets b's dirty flag and moves b to the matching list at its
+// stamp position. The move does not touch b, so the recency order across
+// both lists is unchanged.
+func (c *Cache) setDirty(b *buffer, dirty bool) {
+	if b.dirty == dirty {
+		return
+	}
+	c.listOf(b).remove(b)
+	b.dirty = dirty
+	c.listOf(b).insert(b)
+	if dirty {
+		c.om.dirty.Add(1)
+	} else {
+		c.om.dirty.Add(-1)
+	}
+}
+
+// oldestBusy returns the least recently used busy buffer on either list,
+// or nil.
+func (c *Cache) oldestBusy() *buffer {
+	b, d := c.clean.oldest(true), c.dirty.oldest(true)
+	if b == nil || (d != nil && d.stamp < b.stamp) {
+		return d
+	}
+	return b
+}
 
 // getOrCreate returns the buffer for block, evicting as needed. The caller
 // decides validity/IO. May sleep (eviction of a dirty buffer flushes it).
@@ -157,7 +245,7 @@ func (c *Cache) getOrCreate(p *sim.Proc, block uint32) (*buffer, error) {
 		// this process, and another process may have created (or
 		// evicted) this block's buffer in the meantime. Creating a
 		// second buffer for the same key would orphan the first in the
-		// LRU list and corrupt the cache.
+		// LRU lists and corrupt the cache.
 		if b, ok := c.blocks[block]; ok {
 			c.touch(b)
 			return b, nil
@@ -168,10 +256,9 @@ func (c *Cache) getOrCreate(p *sim.Proc, block uint32) (*buffer, error) {
 		victim := c.findVictim()
 		if victim == nil {
 			// Everything is busy; wait for the oldest busy buffer.
-			oldest := c.lru.Back().Value.(*buffer)
 			c.stats.FlushWaits++
 			c.om.flushWaits.Inc()
-			oldest.wq.Sleep(p)
+			c.oldestBusy().wq.Sleep(p)
 			continue
 		}
 		if victim.dirty {
@@ -184,8 +271,9 @@ func (c *Cache) getOrCreate(p *sim.Proc, block uint32) (*buffer, error) {
 		}
 		c.evict(victim)
 	}
-	b := &buffer{block: block, data: make([]byte, BlockSize), wq: sim.NewWaitQueue(c.e)}
-	b.elem = c.lru.PushFront(b)
+	c.stamp++
+	b := &buffer{block: block, data: make([]byte, BlockSize), stamp: c.stamp, wq: sim.NewWaitQueue(c.e)}
+	c.clean.insertAfter(b, &c.clean.root)
 	c.blocks[block] = b
 	c.om.resident.Set(int64(len(c.blocks)))
 	return b, nil
@@ -194,33 +282,15 @@ func (c *Cache) getOrCreate(p *sim.Proc, block uint32) (*buffer, error) {
 // findVictim returns the least recently used non-busy buffer, preferring
 // clean ones.
 func (c *Cache) findVictim() *buffer {
-	var dirty *buffer
-	for e := c.lru.Back(); e != nil; e = e.Prev() {
-		b := e.Value.(*buffer)
-		if b.busy {
-			continue
-		}
-		if !b.dirty {
-			return b
-		}
-		if dirty == nil {
-			dirty = b
-		}
+	if b := c.clean.oldest(false); b != nil {
+		return b
 	}
-	return dirty
+	return c.dirty.oldest(false)
 }
 
-var EvictDebug func(block uint32)
-
-// MissDebug, when set, observes read misses (test instrumentation).
-var MissDebug func(block uint32)
-
 func (c *Cache) evict(b *buffer) {
-	if EvictDebug != nil {
-		EvictDebug(b.block)
-	}
-	c.lru.Remove(b.elem)
-	if cur, ok := c.blocks[b.block]; ok && cur == b {
+	c.listOf(b).remove(b)
+	if c.blocks[b.block] == b {
 		delete(c.blocks, b.block)
 	}
 	c.stats.Evictions++
@@ -250,8 +320,7 @@ func (c *Cache) flushBuffer(p *sim.Proc, b *buffer) error {
 		c.journal.Add(c.e.Now(), c.e.Now().Sub(start), iotrace.StageWriteback, req, int64(b.block))
 	}
 	if werr == nil && b.gen == gen {
-		b.dirty = false
-		c.om.dirty.Add(-1)
+		c.setDirty(b, false)
 	}
 	b.wq.WakeAll()
 	return werr
@@ -280,9 +349,6 @@ func (c *Cache) ReadBlock(p *sim.Proc, block uint32, origin trace.Origin) ([]byt
 			return b.data, nil
 		}
 		// Miss: read it in.
-		if MissDebug != nil {
-			MissDebug(block)
-		}
 		c.stats.Misses++
 		c.om.misses.Inc()
 		b.busy = true
@@ -341,10 +407,8 @@ func (c *Cache) Prefetch(p *sim.Proc, blocks []uint32, origin trace.Origin) erro
 				c.journal.Add(c.e.Now(), c.e.Now().Sub(start), iotrace.StageCacheMiss, req, int64(bb.block))
 			}
 			bb.wq.WakeAll()
-			if ioErr != nil && bb.elem != nil {
-				if cur, ok := c.blocks[bb.block]; ok && cur == bb {
-					c.evict(bb)
-				}
+			if ioErr != nil && c.blocks[bb.block] == bb {
+				c.evict(bb)
 			}
 		})
 	}
@@ -368,14 +432,11 @@ func (c *Cache) WriteBlock(p *sim.Proc, block uint32, data []byte, origin trace.
 		}
 		copy(b.data, data)
 		b.valid = true
-		if !b.dirty {
-			b.dirty = true
-			c.om.dirty.Add(1)
-		}
+		c.touch(b) // first, so setDirty places b at the dirty list's front
+		c.setDirty(b, true)
 		b.gen++
 		b.origin = origin
 		b.req = p.IOTag()
-		c.touch(b)
 		c.maybeWriteThrough(b)
 		return nil
 	}
@@ -401,8 +462,7 @@ func (c *Cache) maybeWriteThrough(b *buffer) {
 	done.OnComplete(func(ioErr error) {
 		bb.busy = false
 		if ioErr == nil && bb.gen == gen {
-			bb.dirty = false
-			c.om.dirty.Add(-1)
+			c.setDirty(bb, false)
 		}
 		if ioErr == nil && c.journal.Enabled() {
 			c.journal.Add(c.e.Now(), c.e.Now().Sub(start), iotrace.StageWriteback, req, int64(bb.block))
@@ -425,10 +485,7 @@ func (c *Cache) UpdateBlock(p *sim.Proc, block uint32, origin trace.Origin, fn f
 		panic(fmt.Sprintf("buffercache: block %d vanished after ReadBlock", block))
 	}
 	fn(data)
-	if !b.dirty {
-		b.dirty = true
-		c.om.dirty.Add(1)
-	}
+	c.setDirty(b, true)
 	b.gen++
 	b.origin = origin
 	b.req = p.IOTag()
@@ -442,9 +499,10 @@ func (c *Cache) UpdateBlock(p *sim.Proc, block uint32, origin trace.Origin, fn f
 // the number of buffers submitted. Engine-context safe.
 func (c *Cache) WritebackAll(origin trace.Origin) int {
 	n := 0
-	for e := c.lru.Back(); e != nil; e = e.Prev() {
-		b := e.Value.(*buffer)
-		if !b.dirty || b.busy {
+	// Completions run later as engine events, so the list holds still
+	// during the walk.
+	for b := c.dirty.root.prev; b != &c.dirty.root; b = b.prev {
+		if b.busy {
 			continue
 		}
 		gen := b.gen
@@ -466,8 +524,7 @@ func (c *Cache) WritebackAll(origin trace.Origin) int {
 		done.OnComplete(func(ioErr error) {
 			bb.busy = false
 			if ioErr == nil && bb.gen == gen {
-				bb.dirty = false
-				c.om.dirty.Add(-1)
+				c.setDirty(bb, false)
 			}
 			if ioErr == nil && c.journal.Enabled() {
 				c.journal.Add(c.e.Now(), c.e.Now().Sub(start), iotrace.StageWriteback, req, int64(bb.block))
@@ -482,28 +539,14 @@ func (c *Cache) WritebackAll(origin trace.Origin) int {
 // path).
 func (c *Cache) Sync(p *sim.Proc) error {
 	for {
-		var victim *buffer
-		for e := c.lru.Back(); e != nil; e = e.Prev() {
-			b := e.Value.(*buffer)
-			if b.dirty && !b.busy {
-				victim = b
-				break
-			}
-		}
+		victim := c.dirty.oldest(false)
 		if victim == nil {
-			// Wait out any in-flight writebacks.
-			busy := false
-			for e := c.lru.Back(); e != nil; e = e.Prev() {
-				b := e.Value.(*buffer)
-				if b.busy {
-					busy = true
-					b.wq.Sleep(p)
-					break
-				}
-			}
-			if !busy {
+			// Wait out any in-flight I/O, oldest buffer first.
+			b := c.oldestBusy()
+			if b == nil {
 				return nil
 			}
+			b.wq.Sleep(p)
 			continue
 		}
 		if err := c.flushBuffer(p, victim); err != nil {
@@ -518,19 +561,13 @@ func (c *Cache) Sync(p *sim.Proc) error {
 // machine whose binaries were installed long before the run.
 func (c *Cache) InvalidateClean() int {
 	n := 0
-	var victims []*buffer
-	for _, b := range c.blocks {
-		if !b.dirty && !b.busy && b.valid {
-			victims = append(victims, b)
+	for b := c.clean.root.next; b != &c.clean.root; {
+		next := b.next
+		if !b.busy && b.valid {
+			c.evict(b)
+			n++
 		}
-	}
-	// Evict in block order, not map order: eviction reshapes the LRU list
-	// and free list, so a map-ordered sweep would leave the cache in a
-	// different state on every run and desynchronize seeded experiments.
-	sort.Slice(victims, func(i, j int) bool { return victims[i].block < victims[j].block })
-	for _, b := range victims {
-		c.evict(b)
-		n++
+		b = next
 	}
 	return n
 }

@@ -2,7 +2,9 @@ package buffercache
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -311,8 +313,102 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-// Property: for arbitrary write/read interleavings, the cache returns the
-// most recently written contents for each block (read-your-writes).
+// checkLRU verifies the cache's list invariants: both lists are linked
+// consistently and strictly ordered by stamp, every buffer sits on the
+// list its dirty flag names and is the resident buffer for its block, the
+// lengths agree with Len and DirtyCount, and the victim and wait choices
+// equal those of the single recency list the split replaced.
+func checkLRU(c *Cache) error {
+	var merged []*buffer
+	for _, l := range []*lru{&c.clean, &c.dirty} {
+		n := 0
+		for b, prev := l.root.next, &l.root; b != &l.root; b, prev = b.next, b {
+			if b.prev != prev {
+				return fmt.Errorf("block %d: broken prev link", b.block)
+			}
+			if prev != &l.root && prev.stamp <= b.stamp {
+				return fmt.Errorf("block %d (stamp %d) behind block %d (stamp %d)", b.block, b.stamp, prev.block, prev.stamp)
+			}
+			if b.dirty != (l == &c.dirty) {
+				return fmt.Errorf("block %d (dirty=%v) on the wrong list", b.block, b.dirty)
+			}
+			if c.blocks[b.block] != b {
+				return fmt.Errorf("block %d: listed buffer is not resident", b.block)
+			}
+			merged = append(merged, b)
+			n++
+		}
+		if n != l.len {
+			return fmt.Errorf("list holds %d buffers, len says %d", n, l.len)
+		}
+	}
+	if c.clean.len+c.dirty.len != c.Len() {
+		return fmt.Errorf("clean %d + dirty %d != Len %d", c.clean.len, c.dirty.len, c.Len())
+	}
+	dirty := 0
+	for _, b := range c.blocks {
+		if b.dirty {
+			dirty++
+		}
+	}
+	if c.DirtyCount() != dirty {
+		return fmt.Errorf("DirtyCount %d, block map has %d dirty", c.DirtyCount(), dirty)
+	}
+	sort.Slice(merged, func(i, j int) bool { return merged[i].stamp > merged[j].stamp })
+	if got, want := c.findVictim(), singleListVictim(merged); got != want {
+		return fmt.Errorf("findVictim = %s, single-list scan = %s", blockName(got), blockName(want))
+	}
+	if got, want := c.oldestBusy(), singleListOldestBusy(merged); got != want {
+		return fmt.Errorf("oldestBusy = %s, single-list scan = %s", blockName(got), blockName(want))
+	}
+	return nil
+}
+
+func blockName(b *buffer) string {
+	if b == nil {
+		return "none"
+	}
+	return fmt.Sprintf("block %d", b.block)
+}
+
+// singleListVictim is the victim rule over one recency list (front = most
+// recent): walk from the tail, take the first idle clean buffer, else the
+// first idle dirty one.
+func singleListVictim(lru []*buffer) *buffer {
+	var dirty *buffer
+	for i := len(lru) - 1; i >= 0; i-- {
+		b := lru[i]
+		if b.busy {
+			continue
+		}
+		if !b.dirty {
+			return b
+		}
+		if dirty == nil {
+			dirty = b
+		}
+	}
+	return dirty
+}
+
+// singleListOldestBusy is the buffer the everything-busy and Sync waits
+// slept on before the split: the tail-most busy one.
+func singleListOldestBusy(lru []*buffer) *buffer {
+	for i := len(lru) - 1; i >= 0; i-- {
+		if lru[i].busy {
+			return lru[i]
+		}
+	}
+	return nil
+}
+
+// Property: for arbitrary interleavings of writes, reads, read-modify-
+// writes, prefetches, writebacks and syncs, the cache returns the most
+// recently written contents for each block (read-your-writes), and the
+// list invariants hold after every operation. Four buffers over twelve
+// blocks keep eviction constant; a five-block prefetch finds every buffer
+// busy and waits, and a sync right after a writeback or prefetch waits
+// on in-flight I/O.
 func TestQuickReadYourWrites(t *testing.T) {
 	f := func(ops []uint16) bool {
 		e := sim.NewEngine(6)
@@ -321,36 +417,52 @@ func TestQuickReadYourWrites(t *testing.T) {
 		q := blockio.New(e)
 		drv := driver.New(e, d, q, 0, trace.NewRing(4096))
 		drv.SetLevel(driver.LevelOff)
-		cache := New(e, q, 8)
+		cache := New(e, q, 4)
 		want := map[uint32]byte{}
 		ok := true
 		e.Spawn("t", func(p *sim.Proc) {
+			write := func(block uint32, val byte) bool {
+				if err := cache.WriteBlock(p, block, bytes.Repeat([]byte{val}, BlockSize), trace.OriginData); err != nil {
+					return false
+				}
+				want[block] = val
+				return true
+			}
 			for i, op := range ops {
 				if i > 60 {
 					break
 				}
-				block := uint32(op % 16)
-				if op%3 == 0 { // write
-					val := byte(i + 1)
-					data := bytes.Repeat([]byte{val}, BlockSize)
-					if err := cache.WriteBlock(p, block, data, trace.OriginData); err != nil {
-						ok = false
-						return
-					}
-					want[block] = val
-				} else { // read
+				block, val := uint32(op>>3)%12, byte(i+1)
+				switch op % 8 {
+				case 0, 1:
+					ok = write(block, val)
+				case 2, 3:
 					got, err := cache.ReadBlock(p, block, trace.OriginData)
-					if err != nil {
-						ok = false
-						return
-					}
-					if got[0] != want[block] {
-						ok = false
-						return
-					}
-				}
-				if op%7 == 0 {
+					ok = err == nil && got[0] == want[block]
+				case 4:
+					ok = cache.UpdateBlock(p, block, trace.OriginMeta, func(d []byte) {
+						copy(d, bytes.Repeat([]byte{val}, BlockSize))
+					}) == nil
+					want[block] = val
+				case 5:
+					ok = cache.Prefetch(p, []uint32{block, block + 1, block + 2, block + 3, block + 4}, trace.OriginData) == nil
+				case 6:
+					ok = cache.Sync(p) == nil
+				case 7:
+					// Re-dirty the block while its writeback is in flight.
+					ok = write(block, val)
 					cache.WritebackAll(trace.OriginData)
+					ok = ok && write(block, val+1)
+				}
+				if op%5 == 0 {
+					cache.WritebackAll(trace.OriginData)
+				}
+				if err := checkLRU(cache); err != nil {
+					t.Logf("op %d (%d): %v", i, op, err)
+					ok = false
+				}
+				if !ok {
+					return
 				}
 			}
 			if err := cache.Sync(p); err != nil {
@@ -358,6 +470,10 @@ func TestQuickReadYourWrites(t *testing.T) {
 			}
 		})
 		e.RunUntilIdle()
+		if err := checkLRU(cache); err != nil {
+			t.Log(err)
+			return false
+		}
 		// After sync, disk holds the latest contents too.
 		for block, val := range want {
 			out := make([]byte, BlockSize)
@@ -422,6 +538,10 @@ func TestContendedCacheNoOrphans(t *testing.T) {
 				}
 				if i%5 == 0 {
 					cache.WritebackAll(trace.OriginMeta)
+				}
+				if err := checkLRU(cache); err != nil {
+					t.Errorf("hammer %d op %d: %v", pid, i, err)
+					return
 				}
 			}
 			done++
