@@ -650,7 +650,7 @@ func BenchmarkCharacterizeStreaming(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := essio.NewProfiler("bench", 70*sim.Second, 16, 4194304)
-		if _, err := trace.Copy(p, trace.MergeSlices(traces...)); err != nil {
+		if _, err := trace.CopyCols(p, trace.ToColSource(trace.MergeSlices(traces...))); err != nil {
 			b.Fatal(err)
 		}
 		_ = p.Profile()
@@ -687,35 +687,12 @@ func BenchmarkCharacterizeColumnar(b *testing.B) {
 			b.Fatal(err)
 		}
 		p := essio.NewProfiler("bench", 70*sim.Second, 16, 4194304)
-		if _, err := trace.Copy(p, src); err != nil {
+		if _, err := trace.CopyCols(p, src); err != nil {
 			b.Fatal(err)
 		}
 		_ = p.Profile()
 		if err := src.Close(); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// countBatchSink counts records a whole batch at a time.
-type countBatchSink struct{ n int }
-
-func (s *countBatchSink) AddBatch(recs []trace.Record) error { s.n += len(recs); return nil }
-
-// BenchmarkMergeBatchStreaming drains the k-way merge at batch
-// granularity: whole record buffers move from the loser tree into a batch
-// sink, no per-record interface dispatch on either side.
-func BenchmarkMergeBatchStreaming(b *testing.B) {
-	traces := benchTraces(16, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink := &countBatchSink{}
-		if _, err := essio.CopyTraceBatches(sink, essio.ToTraceBatchSource(trace.MergeSlices(traces...))); err != nil {
-			b.Fatal(err)
-		}
-		if sink.n != 16*4096 {
-			b.Fatal("bad merge")
 		}
 	}
 }
@@ -737,10 +714,10 @@ func BenchmarkCharacterizeParallel(b *testing.B) {
 }
 
 // BenchmarkCharacterizeObs prices the observability layer on the
-// characterizer's per-record hot path: the streaming pass of
+// characterizer's hot path: the streaming pass of
 // BenchmarkCharacterizeStreaming with the profiler instrumented at each
 // obs level. "none" is the uninstrumented baseline; "off" must be
-// indistinguishable from it (one nil-handle check per record), and
+// indistinguishable from it (one nil-handle check per batch), and
 // "counters" must stay within 5% — the budget DESIGN.md commits to for
 // always-on counting. "full" adds the batch-length histogram and span
 // timing and is allowed to cost more.
@@ -763,7 +740,7 @@ func BenchmarkCharacterizeObs(b *testing.B) {
 				if lv.reg != nil {
 					p.Instrument(lv.reg)
 				}
-				if _, err := trace.Copy(p, trace.MergeSlices(traces...)); err != nil {
+				if _, err := trace.CopyCols(p, trace.ToColSource(trace.MergeSlices(traces...))); err != nil {
 					b.Fatal(err)
 				}
 				_ = p.Profile()

@@ -49,7 +49,7 @@ func analyzeSequential(path, format string, o characterize.Options) (*characteri
 		src = fs
 	}
 	s := characterize.New(o)
-	n, err := essio.CopyTrace(s.Sink(), src)
+	n, err := s.Feed(src)
 	return s, n, err
 }
 
@@ -74,7 +74,7 @@ func analyzeChunked(path string, o characterize.Options, workers int) (*characte
 		wg.Add(1)
 		go func(i int, c *essio.TraceFileSource) {
 			defer wg.Done()
-			counts[i], errs[i] = essio.CopyTrace(sets[i].Sink(), c)
+			counts[i], errs[i] = sets[i].Feed(c)
 		}(i, c)
 	}
 	wg.Wait()

@@ -66,11 +66,7 @@ func runLoad(args []string) error {
 			return err
 		}
 		var buf bytes.Buffer
-		w := trace.NewWriter(&buf)
-		if err := w.AddBatch(recs); err != nil {
-			return err
-		}
-		if err := w.Flush(); err != nil {
+		if err := trace.WriteAll(&buf, recs); err != nil {
 			return err
 		}
 		bodies[i] = buf.Bytes()

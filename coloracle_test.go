@@ -2,11 +2,11 @@ package essio_test
 
 // The columnar pipeline's end-to-end oracle: for each of the five
 // experiments (E0 baseline through E4 combined), the characterization
-// computed from a columnar-encoded copy of the trace must render byte
-// for byte the same profile as the row pipeline over the original
-// records. The column codec, the column views, and the vectorized
-// accumulator folds are allowed to change the cost of the pass, never
-// its output. The same runs are pinned to checked-in golden digests
+// computed from binary- and columnar-encoded copies of the trace must
+// render byte for byte the same profile as the in-memory records. The
+// codecs, the column views, and the vectorized accumulator folds are
+// allowed to change the cost of the pass, never its output. The same
+// runs are pinned to checked-in golden digests
 // (testdata/golden-e0e4.json), so a change that shifts the trace, the
 // report, the profile, or the fitted model of any experiment fails here.
 
@@ -122,24 +122,30 @@ func TestColumnarCharacterizationMatchesRowOracle(t *testing.T) {
 			digests[string(kind)] = d
 			mu.Unlock()
 
-			// Row pipeline: records fed one by one, no column views
-			// anywhere.
-			rowProf := essio.NewProfiler(string(res.Kind), res.Duration, res.Nodes, res.DiskSectors)
-			for _, r := range res.Merged {
-				if err := rowProf.Add(r); err != nil {
-					t.Fatal(err)
-				}
-			}
+			// Row pipeline: the in-memory records, entering the columnar
+			// accumulators through the row-to-column shim.
+			rp := essio.Characterize(string(res.Kind), res.Merged, res.Duration, res.Nodes, res.DiskSectors)
 
-			// Columnar pipeline: encode the same trace with the column
-			// codec, decode it back as column views, and fold them through
-			// the vectorized accumulators via the Copy fast path.
+			// Decoder pipelines: the same trace encoded with the binary and
+			// the column codec, decoded straight into column views, and
+			// folded through the accumulators. Both must match the rows.
+			var bin bytes.Buffer
+			if err := trace.WriteAll(&bin, res.Merged); err != nil {
+				t.Fatal(err)
+			}
+			binProf := essio.NewProfiler(string(res.Kind), res.Duration, res.Nodes, res.DiskSectors)
+			if _, err := trace.CopyCols(binProf, trace.NewReader(bytes.NewReader(bin.Bytes()))); err != nil {
+				t.Fatal(err)
+			}
+			if bp := binProf.Profile(); !reflect.DeepEqual(rp, bp) {
+				t.Errorf("%s: binary-decoded profile state diverged from the rows", kind)
+			}
 			var buf bytes.Buffer
 			if err := trace.WriteCol(&buf, res.Merged); err != nil {
 				t.Fatal(err)
 			}
 			colProf := essio.NewProfiler(string(res.Kind), res.Duration, res.Nodes, res.DiskSectors)
-			n, err := trace.Copy(colProf, trace.NewColReader(bytes.NewReader(buf.Bytes())))
+			n, err := trace.CopyCols(colProf, trace.NewColReader(bytes.NewReader(buf.Bytes())))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +153,7 @@ func TestColumnarCharacterizationMatchesRowOracle(t *testing.T) {
 				t.Fatalf("columnar pass saw %d records, trace has %d", n, len(res.Merged))
 			}
 
-			rp, cp := rowProf.Profile(), colProf.Profile()
+			cp := colProf.Profile()
 			if !reflect.DeepEqual(rp, cp) {
 				t.Errorf("%s: columnar profile state diverged from row oracle", kind)
 			}
@@ -166,10 +172,6 @@ func TestColumnarCharacterizationMatchesRowOracle(t *testing.T) {
 			}
 			// And the columnar file must not cost more than the fixed-width
 			// binary encoding on real experiment traces.
-			var bin bytes.Buffer
-			if err := trace.WriteAll(&bin, res.Merged); err != nil {
-				t.Fatal(err)
-			}
 			if buf.Len() >= bin.Len() && len(res.Merged) > 0 {
 				t.Errorf("%s: columnar file (%d bytes) not smaller than binary (%d bytes)",
 					kind, buf.Len(), bin.Len())

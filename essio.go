@@ -203,22 +203,22 @@ var (
 	ReadTraceText  = trace.ReadText
 )
 
-// Streaming trace pipeline: pull Sources, push Sinks, and incremental
-// analysis accumulators. One pass over a Source — a trace file, a k-way
-// node merge, a Result view — can feed any number of accumulators through
-// TeeSinks, in bounded memory regardless of trace length.
+// Streaming trace pipeline: pull Sources, push Sinks, columnar batches,
+// and incremental analysis accumulators. One pass over a Source — a trace
+// file, a k-way node merge, a Result view — can feed any number of
+// accumulators through TeeSinks, in bounded memory regardless of trace
+// length. Columnar batches are the one batch transport: decoders and the
+// merge serve them natively, and ToTraceColSource transposes any other
+// Source at the row edge.
 type (
 	// TraceSource is a pull iterator over trace records (io.EOF ends it).
 	TraceSource = trace.Source
 	// TraceSink is a push consumer of trace records.
 	TraceSink = trace.Sink
-	// TraceBatchSource is a pull iterator yielding whole record buffers.
-	TraceBatchSource = trace.BatchSource
-	// TraceBatchSink is a push consumer of whole record buffers.
-	TraceBatchSink = trace.BatchSink
 	// TraceCollector is a Sink materializing the stream as a slice.
 	TraceCollector = trace.Collector
-	// TraceWriter is the streaming binary encoder (a Sink; call Flush).
+	// TraceWriter is the streaming binary encoder (a Sink and a ColSink;
+	// call Flush).
 	TraceWriter = trace.Writer
 	// TraceTextWriter is the streaming text encoder (a Sink; call Flush).
 	TraceTextWriter = trace.TextWriter
@@ -229,11 +229,11 @@ type (
 	TraceColSource = trace.ColSource
 	// TraceColSink is a push consumer of columnar batch views.
 	TraceColSink = trace.ColSink
-	// TraceColWriter is the streaming columnar encoder (a Sink, a
-	// BatchSink, and a ColSink; call Flush).
+	// TraceColWriter is the streaming columnar encoder (a Sink and a
+	// ColSink; call Flush).
 	TraceColWriter = trace.ColWriter
-	// TraceColReader is the streaming columnar decoder (a Source, a
-	// BatchSource, and a ColSource).
+	// TraceColReader is the streaming columnar decoder (a Source and a
+	// ColSource).
 	TraceColReader = trace.ColReader
 
 	// SummaryAcc incrementally builds a Table 1 row.
@@ -258,7 +258,8 @@ type (
 
 // Streaming constructors and pipeline plumbing.
 var (
-	// NewTraceReader decodes the binary format one record per Next.
+	// NewTraceReader decodes the binary format one record per Next or a
+	// columnar batch per NextCols.
 	NewTraceReader = trace.NewReader
 	// NewTraceWriter encodes the binary format incrementally.
 	NewTraceWriter = trace.NewWriter
@@ -276,20 +277,9 @@ var (
 	// NewTraceCollector returns a Collector pre-sized for a known record
 	// count.
 	NewTraceCollector = trace.NewCollector
-	// CopyTrace pumps a Source into a Sink, moving whole batches when the
-	// source supports them.
+	// CopyTrace pumps a Source into a Sink, moving columnar batches when
+	// the sink accepts them.
 	CopyTrace = trace.Copy
-	// CopyTraceBatches pumps a BatchSource into a BatchSink at batch
-	// granularity.
-	CopyTraceBatches = trace.CopyBatches
-	// ToTraceBatchSource adapts any Source to batch reads (pass-through
-	// when it already batches); FromTraceBatchSource goes the other way.
-	ToTraceBatchSource   = trace.ToBatchSource
-	FromTraceBatchSource = trace.FromBatchSource
-	// ToTraceBatchSink adapts any Sink to batch writes (pass-through when
-	// it already batches); FromTraceBatchSink goes the other way.
-	ToTraceBatchSink   = trace.ToBatchSink
-	FromTraceBatchSink = trace.FromBatchSink
 	// NewTraceColReader decodes the columnar format incrementally.
 	NewTraceColReader = trace.NewColReader
 	// NewTraceColWriter encodes the columnar format incrementally.
@@ -300,22 +290,19 @@ var (
 	// CopyTraceCols pumps a ColSource into a ColSink at column
 	// granularity, never materializing records.
 	CopyTraceCols = trace.CopyCols
-	// ToTraceColSource adapts any Source to columnar reads (pass-through
-	// for columnar-native sources); FromTraceColSource goes the other
-	// way.
-	ToTraceColSource   = trace.ToColSource
-	FromTraceColSource = trace.FromColSource
-	// AsTraceColSource probes a Source for a columnar-native view, the
-	// zero-transpose test CopyTrace uses to pick the columnar fast path.
-	AsTraceColSource = trace.AsColSource
+	// ToTraceColSource adapts any Source to columnar reads: pass-through
+	// for decoders, file sources, and merges, the row-to-column transpose
+	// for everything else.
+	ToTraceColSource = trace.ToColSource
 	// WriteTraceCol and ReadTraceCol are the whole-trace columnar codec
 	// conveniences, siblings of WriteTrace/ReadTrace.
 	WriteTraceCol = trace.WriteCol
 	ReadTraceCol  = trace.ReadCol
-	// TeeSinks fans one stream out to several sinks.
+	// TeeSinks fans one columnar stream out to several sinks.
 	TeeSinks = trace.Tee
 	// MergeTraceSources k-way-merges ordered sources in (Time, Node,
-	// Sector) order, holding one record per input.
+	// Sector) order, holding one record per input; the merge is also a
+	// ColSource.
 	MergeTraceSources = trace.MergeSources
 	// MergeTraceSlices streams the k-way merge of in-memory traces.
 	MergeTraceSlices = trace.MergeSlices

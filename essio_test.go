@@ -137,7 +137,7 @@ func TestPublicAPIStreaming(t *testing.T) {
 	// Streaming decode + single-pass analysis vs the batch metrics.
 	sum := essio.NewSummaryAcc("wavelet", res.Duration, res.Nodes)
 	hist := essio.NewSizeHistAcc()
-	if _, err := essio.CopyTrace(essio.TeeSinks(sum, hist), essio.NewTraceReader(&streamed)); err != nil {
+	if _, err := essio.CopyTraceCols(essio.TeeSinks(sum, hist), essio.NewTraceReader(&streamed)); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := sum.Summary(), essio.Summarize("wavelet", res.Merged, res.Duration, res.Nodes); got != want {

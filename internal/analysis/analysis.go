@@ -37,12 +37,11 @@ func Summarize(label string, recs []trace.Record, duration sim.Duration, nodes i
 	return a.Summary()
 }
 
-// feed pushes a slice through a sink; accumulators never fail.
-func feed(s trace.Sink, recs []trace.Record) {
-	for _, r := range recs {
-		if err := s.Add(r); err != nil {
-			panic("analysis: accumulator failed: " + err.Error())
-		}
+// feed pushes a slice through an accumulator at the row edge;
+// accumulators never fail.
+func feed(s trace.ColSink, recs []trace.Record) {
+	if _, err := trace.CopyCols(s, trace.ToColSource(trace.SliceSource(recs))); err != nil {
+		panic("analysis: accumulator failed: " + err.Error())
 	}
 }
 

@@ -1,12 +1,13 @@
-// Columnar fast paths: every accumulator consumes trace.ColBatch views
-// directly, scanning only the columns its metric reads. The inner loops
-// are branch-light passes over dense arrays — no per-record interface
-// dispatch, no struct field gathers — and map-backed accumulators batch
-// their map traffic per run of equal values, which on real traces
-// (near-constant request sizes, second-granularity bins) collapses one
-// map operation per record to one per thousands. Each AddCols is
-// semantically identical to folding Add over the batch; the equivalence
-// suite in cols_test.go checks that record for record.
+// The accumulators' one fold: every accumulator consumes trace.ColBatch
+// views directly, scanning only the columns its metric reads. The inner
+// loops are branch-light passes over dense arrays — no per-record
+// interface dispatch, no struct field gathers — and map-backed
+// accumulators batch their map traffic per run of equal values, which on
+// real traces (near-constant request sizes, second-granularity bins)
+// collapses one map operation per record to one per thousands. Each
+// AddCols is semantically identical to folding the per-record row oracle
+// (oracle_test.go) over the batch; the equivalence suite in cols_test.go
+// checks that record for record.
 
 package analysis
 
@@ -130,10 +131,10 @@ func (a *HeatAcc) AddCols(cols *trace.ColBatch) error {
 func (a *HeatAcc) Observe(sector uint32) { a.counts[sector]++ }
 
 // AddCols bins a columnar batch's time column. The float bin expression
-// is kept identical to Add — bit-equal binning at second boundaries —
-// but the map increment is batched per run of records landing in the
-// same bin, which for second-granularity bins over µs timestamps is
-// nearly the whole batch.
+// is the per-record one, t.Sub(t0).Seconds() truncated — bit-equal
+// binning at second boundaries — but the map increment is batched per
+// run of records landing in the same bin, which for second-granularity
+// bins over µs timestamps is nearly the whole batch.
 func (a *RateAcc) AddCols(cols *trace.ColBatch) error {
 	times := cols.Times
 	if len(times) == 0 {
@@ -197,7 +198,7 @@ func (a *InterAccessAcc) AddCols(cols *trace.ColBatch) error {
 	return nil
 }
 
-// Observe records one access; the column-scan form of Add.
+// Observe records one access to sector at time t.
 func (a *InterAccessAcc) Observe(sector uint32, t sim.Time) {
 	e, ok := a.m[sector]
 	if ok {

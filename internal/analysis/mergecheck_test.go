@@ -13,13 +13,14 @@ import (
 	"essio/internal/trace"
 )
 
-// feedRecords plays a two-shard workload into any record sink with an
-// Add method; shard 1 continues shard 0 in time, as chunked parallel
-// passes arrange.
-func feedRecords(add func(trace.Record) error, shard int) {
+// feedRecords plays a two-shard workload into any columnar sink as one
+// batch; shard 1 continues shard 0 in time, as chunked parallel passes
+// arrange.
+func feedRecords(sink trace.ColSink, shard int) {
 	base := sim.Time(shard) * sim.Time(5*sim.Second)
+	var b trace.ColBatch
 	for i := 0; i < 40; i++ {
-		add(trace.Record{
+		b.AppendRecord(trace.Record{
 			Time:    base + sim.Time(i)*sim.Time(sim.Second/8),
 			Sector:  uint32(1000*i + shard*64),
 			Count:   uint16(8 + i%3),
@@ -28,6 +29,9 @@ func feedRecords(add func(trace.Record) error, shard int) {
 			Node:    uint8(i % 2),
 			Origin:  trace.Origin(i % 7),
 		})
+	}
+	if err := sink.AddCols(&b); err != nil {
+		panic(err)
 	}
 }
 
@@ -41,32 +45,32 @@ func TestAccumulatorMergesPropagateEveryField(t *testing.T) {
 		{
 			name:   "SummaryAcc",
 			newAcc: func() any { return analysis.NewSummaryAcc("wl", sim.Duration(10*sim.Second), 2) },
-			feed:   func(acc any, shard int) { feedRecords(acc.(*analysis.SummaryAcc).Add, shard) },
+			feed:   func(acc any, shard int) { feedRecords(acc.(trace.ColSink), shard) },
 		},
 		{
 			name:   "SizeHistAcc",
 			newAcc: func() any { return analysis.NewSizeHistAcc() },
-			feed:   func(acc any, shard int) { feedRecords(acc.(*analysis.SizeHistAcc).Add, shard) },
+			feed:   func(acc any, shard int) { feedRecords(acc.(trace.ColSink), shard) },
 		},
 		{
 			name:   "SizeClassAcc",
 			newAcc: func() any { return analysis.NewSizeClassAcc() },
-			feed:   func(acc any, shard int) { feedRecords(acc.(*analysis.SizeClassAcc).Add, shard) },
+			feed:   func(acc any, shard int) { feedRecords(acc.(trace.ColSink), shard) },
 		},
 		{
 			name:   "OriginAcc",
 			newAcc: func() any { return analysis.NewOriginAcc() },
-			feed:   func(acc any, shard int) { feedRecords(acc.(*analysis.OriginAcc).Add, shard) },
+			feed:   func(acc any, shard int) { feedRecords(acc.(trace.ColSink), shard) },
 		},
 		{
 			name:   "BandsAcc",
 			newAcc: func() any { return analysis.NewBandsAcc(1<<16, 1<<20) },
-			feed:   func(acc any, shard int) { feedRecords(acc.(*analysis.BandsAcc).Add, shard) },
+			feed:   func(acc any, shard int) { feedRecords(acc.(trace.ColSink), shard) },
 		},
 		{
 			name:   "HeatAcc",
 			newAcc: func() any { return analysis.NewHeatAcc() },
-			feed:   func(acc any, shard int) { feedRecords(acc.(*analysis.HeatAcc).Add, shard) },
+			feed:   func(acc any, shard int) { feedRecords(acc.(trace.ColSink), shard) },
 		},
 		{
 			name:   "RateAcc",
@@ -74,7 +78,7 @@ func TestAccumulatorMergesPropagateEveryField(t *testing.T) {
 			feed: func(acc any, shard int) {
 				a := acc.(*analysis.RateAcc)
 				a.SetAnchor(0) // shards of one pass share the anchor
-				feedRecords(a.Add, shard)
+				feedRecords(a, shard)
 			},
 			// anchored is only read on the empty-receiver adopt path;
 			// with live records on both sides, b.any gates the merge.
@@ -83,12 +87,12 @@ func TestAccumulatorMergesPropagateEveryField(t *testing.T) {
 		{
 			name:   "PendingAcc",
 			newAcc: func() any { return analysis.NewPendingAcc() },
-			feed:   func(acc any, shard int) { feedRecords(acc.(*analysis.PendingAcc).Add, shard) },
+			feed:   func(acc any, shard int) { feedRecords(acc.(trace.ColSink), shard) },
 		},
 		{
 			name:   "InterAccessAcc",
 			newAcc: func() any { return analysis.NewInterAccessAcc() },
-			feed:   func(acc any, shard int) { feedRecords(acc.(*analysis.InterAccessAcc).Add, shard) },
+			feed:   func(acc any, shard int) { feedRecords(acc.(trace.ColSink), shard) },
 		},
 	}
 	for _, tc := range cases {

@@ -1,8 +1,8 @@
 // Streaming accumulators: every metric of the package rebuilt as an
-// incremental trace.Sink, so a single pass over a trace Source — a file
-// reader, a k-way node merge — computes any combination of metrics in
-// bounded memory. The slice-based functions of analysis.go are thin
-// wrappers over these.
+// incremental trace.ColSink, so a single pass over a trace Source — a
+// file reader, a k-way node merge — computes any combination of metrics
+// in bounded memory. Each accumulator has one fold, AddCols (cols.go).
+// The slice-based functions of analysis.go are thin wrappers over these.
 //
 // Every accumulator also has an exact Merge method folding another
 // accumulator of the same kind into it, which is what lets a multi-core
@@ -32,23 +32,6 @@ type SummaryAcc struct {
 // observation duration and node count.
 func NewSummaryAcc(label string, duration sim.Duration, nodes int) *SummaryAcc {
 	return &SummaryAcc{s: Summary{Label: label, Nodes: nodes, Duration: duration}}
-}
-
-// Add counts one record.
-func (a *SummaryAcc) Add(r trace.Record) error {
-	if r.Op == trace.Read {
-		a.s.Reads++
-	} else {
-		a.s.Writes++
-	}
-	if !a.any || r.Time < a.first {
-		a.first = r.Time
-	}
-	if !a.any || r.Time > a.last {
-		a.last = r.Time
-	}
-	a.any = true
-	return nil
 }
 
 // Merge folds another summary accumulator into a. Counts add and the
@@ -100,12 +83,6 @@ type SizeHistAcc struct {
 // NewSizeHistAcc returns an empty size histogram accumulator.
 func NewSizeHistAcc() *SizeHistAcc { return &SizeHistAcc{h: make(map[int]int)} }
 
-// Add counts one record.
-func (a *SizeHistAcc) Add(r trace.Record) error {
-	a.h[r.KB()]++
-	return nil
-}
-
 // Merge folds another histogram into a; exact under any partition.
 func (a *SizeHistAcc) Merge(b *SizeHistAcc) {
 	for kb, c := range b.h {
@@ -124,21 +101,6 @@ type SizeClassAcc struct {
 
 // NewSizeClassAcc returns an empty size-class accumulator.
 func NewSizeClassAcc() *SizeClassAcc { return &SizeClassAcc{} }
-
-// Add classifies one record.
-func (a *SizeClassAcc) Add(r trace.Record) error {
-	switch kb := r.KB(); {
-	case kb <= 1:
-		a.c.Block1K++
-	case kb == 4:
-		a.c.Page4K++
-	case kb >= 8:
-		a.c.Large++
-	default:
-		a.c.Other++
-	}
-	return nil
-}
 
 // Merge folds another size-class accumulator into a; exact under any
 // partition.
@@ -159,12 +121,6 @@ type OriginAcc struct {
 
 // NewOriginAcc returns an empty origin accumulator.
 func NewOriginAcc() *OriginAcc { return &OriginAcc{m: make(map[trace.Origin]int)} }
-
-// Add counts one record.
-func (a *OriginAcc) Add(r trace.Record) error {
-	a.m[r.Origin]++
-	return nil
-}
 
 // Merge folds another origin accumulator into a; exact under any
 // partition.
@@ -200,17 +156,6 @@ func NewBandsAcc(bandSectors, diskSectors uint32) *BandsAcc {
 	return &BandsAcc{bandSectors: bandSectors, bands: bands}
 }
 
-// Add buckets one record.
-func (a *BandsAcc) Add(r trace.Record) error {
-	bi := int(r.Sector / a.bandSectors)
-	if bi >= len(a.bands) {
-		bi = len(a.bands) - 1
-	}
-	a.bands[bi].Count++
-	a.total++
-	return nil
-}
-
 // Merge folds another band accumulator into a; both must share the band
 // geometry (same width and disk size). Exact under any partition.
 func (a *BandsAcc) Merge(b *BandsAcc) {
@@ -242,12 +187,6 @@ type HeatAcc struct {
 // NewHeatAcc returns an empty temporal-heat accumulator.
 func NewHeatAcc() *HeatAcc { return &HeatAcc{counts: make(map[uint32]int)} }
 
-// Add counts one record.
-func (a *HeatAcc) Add(r trace.Record) error {
-	a.counts[r.Sector]++
-	return nil
-}
-
 // Merge folds another heat accumulator into a; exact under any partition.
 func (a *HeatAcc) Merge(b *HeatAcc) {
 	for sec, c := range b.counts {
@@ -278,27 +217,10 @@ func NewRateAcc() *RateAcc { return &RateAcc{bins: make(map[int]int)} }
 // SetAnchor pins the time origin of the 1-second bins. A parallel driver
 // anchors every worker at the merged stream's first record time, making
 // per-shard binning — and therefore Merge — bit-identical to the
-// sequential pass. Must be called before the first Add.
+// sequential pass. Must be called before the first AddCols.
 func (a *RateAcc) SetAnchor(t0 sim.Time) {
 	a.t0 = t0
 	a.anchored = true
-}
-
-// Add bins one record.
-func (a *RateAcc) Add(r trace.Record) error {
-	if !a.any {
-		a.any = true
-		if !a.anchored {
-			a.t0 = r.Time
-			a.anchored = true
-		}
-	}
-	b := int(r.Time.Sub(a.t0).Seconds())
-	a.bins[b]++
-	if b > a.maxBin {
-		a.maxBin = b
-	}
-	return nil
 }
 
 // Merge folds another rate accumulator into a. Exact when both sides are
@@ -347,20 +269,6 @@ type PendingAcc struct {
 // NewPendingAcc returns an empty queue-depth accumulator.
 func NewPendingAcc() *PendingAcc { return &PendingAcc{} }
 
-// Add counts one record.
-func (a *PendingAcc) Add(r trace.Record) error {
-	p := int(r.Pending)
-	a.sum += p
-	if p > a.q.MaxPending {
-		a.q.MaxPending = p
-	}
-	if p > 0 {
-		a.busy++
-	}
-	a.n++
-	return nil
-}
-
 // Merge folds another queue-depth accumulator into a; exact under any
 // partition.
 func (a *PendingAcc) Merge(b *PendingAcc) {
@@ -404,12 +312,6 @@ type InterAccessAcc struct {
 // NewInterAccessAcc returns an empty inter-access accumulator.
 func NewInterAccessAcc() *InterAccessAcc {
 	return &InterAccessAcc{m: make(map[uint32]interAccess)}
-}
-
-// Add observes one record.
-func (a *InterAccessAcc) Add(r trace.Record) error {
-	a.Observe(r.Sector, r.Time)
-	return nil
 }
 
 // Merge folds another inter-access accumulator into a. Exact when b saw a

@@ -233,7 +233,7 @@ func TestTeeSinglePass(t *testing.T) {
 	hist := NewSizeHistAcc()
 	classes := NewSizeClassAcc()
 	pend := NewPendingAcc()
-	if _, err := trace.Copy(trace.Tee(sum, hist, classes, pend), trace.SliceSource(recs)); err != nil {
+	if _, err := trace.CopyCols(trace.Tee(sum, hist, classes, pend), trace.ToColSource(trace.SliceSource(recs))); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sum.Summary(), Summarize("tee", recs, 30*sim.Second, 4)) {
@@ -254,9 +254,13 @@ func TestTeeSinglePass(t *testing.T) {
 // when no external duration is known.
 func TestSummaryAccSpan(t *testing.T) {
 	a := NewSummaryAcc("span", 0, 1)
-	a.Add(trace.Record{Time: sim.Time(5 * sim.Second)})
-	a.Add(trace.Record{Time: sim.Time(2 * sim.Second)})
-	a.Add(trace.Record{Time: sim.Time(9 * sim.Second)})
+	var b trace.ColBatch
+	for _, s := range []sim.Duration{5 * sim.Second, 2 * sim.Second, 9 * sim.Second} {
+		b.AppendRecord(trace.Record{Time: sim.Time(s)})
+	}
+	if err := a.AddCols(&b); err != nil {
+		t.Fatal(err)
+	}
 	if a.Span() != 7*sim.Second {
 		t.Fatalf("span = %v", a.Span())
 	}

@@ -78,10 +78,10 @@ func New(o Options) *Set {
 	return s
 }
 
-// Sinks lists the selected accumulators as trace sinks, for callers
+// Sinks lists the selected accumulators as columnar sinks, for callers
 // that compose their own Tee.
-func (s *Set) Sinks() []trace.Sink {
-	out := []trace.Sink{s.sum}
+func (s *Set) Sinks() []trace.ColSink {
+	out := []trace.ColSink{s.sum}
 	if s.hist != nil {
 		out = append(out, s.hist)
 	}
@@ -100,9 +100,15 @@ func (s *Set) Sinks() []trace.Sink {
 	return out
 }
 
-// Sink returns one sink fanning records out to every selected
-// accumulator (a batch-aware Tee).
-func (s *Set) Sink() trace.Sink { return trace.Tee(s.Sinks()...) }
+// Sink returns one columnar sink fanning batches out to every selected
+// accumulator.
+func (s *Set) Sink() trace.ColSink { return trace.Tee(s.Sinks()...) }
+
+// Feed drains src through every selected accumulator and reports how
+// many records it folded.
+func (s *Set) Feed(src trace.Source) (int, error) {
+	return trace.CopyCols(s.Sink(), trace.ToColSource(src))
+}
 
 // Merge folds b, which consumed the records immediately following s's,
 // into s. Every fold is the accumulator's exact Merge, so the combined
@@ -197,7 +203,7 @@ func (s *Set) Report(n int) string {
 // daemon's ingest endpoint.
 func Characterize(src trace.Source, o Options) (string, int, error) {
 	s := New(o)
-	n, err := trace.Copy(s.Sink(), src)
+	n, err := s.Feed(src)
 	if err != nil {
 		return "", n, err
 	}

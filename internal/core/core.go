@@ -54,13 +54,19 @@ type Profile struct {
 const bandWidth = 100000
 
 // Characterize computes a Profile from a merged multi-node trace. It is
-// the batch form of the streaming Profiler sink.
+// the slice form of the streaming Profiler sink.
 func Characterize(label string, recs []trace.Record, duration sim.Duration, nodes int, diskSectors uint32) *Profile {
 	p := NewProfiler(label, duration, nodes, diskSectors)
-	for _, r := range recs {
-		p.Add(r)
-	}
+	feed(p, recs)
 	return p.Profile()
+}
+
+// feed folds an in-memory trace into p at the row edge; the profiler
+// never fails.
+func feed(p *Profiler, recs []trace.Record) {
+	if _, err := trace.CopyCols(p, trace.ToColSource(trace.SliceSource(recs))); err != nil {
+		panic("core: profiler failed: " + err.Error())
+	}
 }
 
 // String renders the profile as a report block.

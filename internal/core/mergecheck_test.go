@@ -43,8 +43,9 @@ func feedProfiler(acc any, shard int) {
 	p := acc.(*core.Profiler)
 	p.SetAnchor(0)
 	base := sim.Time(shard) * sim.Time(5*sim.Second)
+	var b trace.ColBatch
 	for i := 0; i < 40; i++ {
-		p.Add(trace.Record{
+		b.AppendRecord(trace.Record{
 			Time:    base + sim.Time(i)*sim.Time(sim.Second/8),
 			Sector:  uint32(1000*i + shard*64),
 			Count:   uint16(8 + i%3),
@@ -53,6 +54,9 @@ func feedProfiler(acc any, shard int) {
 			Node:    uint8(i % 2),
 			Origin:  trace.Origin(i % 7),
 		})
+	}
+	if err := p.AddCols(&b); err != nil {
+		panic(err)
 	}
 }
 

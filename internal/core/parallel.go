@@ -66,7 +66,7 @@ func ProfileParallelObs(label string, perNode [][]trace.Record, duration sim.Dur
 			p.SetAnchor(t0)
 		}
 		for _, t := range traces {
-			p.AddBatch(t)
+			feed(p, t)
 		}
 		return p.Profile()
 	}
@@ -88,7 +88,7 @@ func ProfileParallelObs(label string, perNode [][]trace.Record, duration sim.Dur
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(traces); i += workers {
-				p.AddBatch(traces[i])
+				feed(p, traces[i])
 			}
 		}(w)
 	}

@@ -76,8 +76,8 @@ func TestProfilerMergeConcatenation(t *testing.T) {
 		b := NewProfiler("t", 30*sim.Second, 4, diskSectors)
 		a.SetAnchor(merged[0].Time)
 		b.SetAnchor(merged[0].Time)
-		a.AddBatch(merged[:cut])
-		b.AddBatch(merged[cut:])
+		feed(a, merged[:cut])
+		feed(b, merged[cut:])
 		a.Merge(b)
 		if got := a.Profile(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("cut=%d:\n got %+v\nwant %+v", cut, got, want)

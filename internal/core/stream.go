@@ -1,6 +1,6 @@
-// The streaming characterizer: a trace.Sink that builds the full Profile
-// in one incremental pass, so full-scale traces can be profiled straight
-// from a file or a live node merge without materializing them.
+// The streaming characterizer: a trace.ColSink that builds the full
+// Profile in one incremental pass, so full-scale traces can be profiled
+// straight from a file or a live node merge without materializing them.
 
 package core
 
@@ -11,10 +11,10 @@ import (
 	"essio/internal/trace"
 )
 
-// Profiler accumulates a complete workload Profile record by record. It
-// implements trace.Sink; feed it a trace (in time order, as drivers emit
-// it) and call Profile once the stream ends. Characterize is its batch
-// form.
+// Profiler accumulates a complete workload Profile batch by batch. It
+// implements trace.ColSink; feed it a trace (in time order, as drivers
+// emit it) and call Profile once the stream ends. Characterize is its
+// slice form.
 type Profiler struct {
 	// Construction-time configuration: every shard of a parallel pass is
 	// built with identical values, so Merge keeps the receiver's copy.
@@ -67,7 +67,7 @@ func NewProfiler(label string, duration sim.Duration, nodes int, diskSectors uin
 // SetAnchor pins the time origin of the 1-second activity bins. A
 // parallel driver anchors every worker at the earliest record time of the
 // whole trace so per-shard rate binning matches the sequential pass; see
-// analysis.RateAcc.SetAnchor. Must be called before the first Add.
+// analysis.RateAcc.SetAnchor. Must be called before the first AddCols.
 func (p *Profiler) SetAnchor(t0 sim.Time) { p.rate.SetAnchor(t0) }
 
 // profilerMetrics holds the characterizer's observability handles; the
@@ -80,8 +80,8 @@ type profilerMetrics struct {
 
 // Instrument registers the characterizer's pipeline metrics in reg: the
 // pipeline/accumulate stage counts records, batches, and bytes folded
-// in; at Full a batch-length histogram and a span per AddBatch record
-// the flow's shape. The span clock is the stage's own record counter —
+// in; at Full a batch-length histogram and a span per AddCols batch
+// record the flow's shape. The span clock is the stage's own record counter —
 // pure record arithmetic, so observed runs stay deterministic at any
 // worker count.
 func (p *Profiler) Instrument(reg *obs.Registry) {
@@ -97,57 +97,15 @@ func (p *Profiler) Instrument(reg *obs.Registry) {
 	}
 }
 
-// Add folds one record into every metric of the profile.
-func (p *Profiler) Add(r trace.Record) error {
-	p.add(r)
-	p.om.stage.Observe(1, trace.RecordSize)
-	return nil
-}
-
-// add is the uncounted per-record fold shared by Add and AddBatch.
-func (p *Profiler) add(r trace.Record) {
-	p.summary.Add(r)
-	p.classes.Add(r)
-	p.origins.Add(r)
-	p.bands.Add(r)
-	p.rate.Add(r)
-	p.pending.Add(r)
-	if r.Node == 0 {
-		p.node0Heat.Add(r)
-		p.node0Inter.Add(r)
-	}
-	if end, ok := p.lastEnd[r.Node]; ok {
-		p.seqTotal++
-		if r.Sector == end {
-			p.seq++
-		}
-	} else {
-		p.firstSector[r.Node] = r.Sector
-	}
-	p.lastEnd[r.Node] = r.End()
-}
-
-// AddBatch folds a whole batch of records into the profile, amortizing
-// the per-record interface dispatch of batched copies. Observation is
-// per batch, not per record, keeping the instrumented hot path cheap.
-func (p *Profiler) AddBatch(recs []trace.Record) error {
-	sp := p.om.span.Start()
-	for _, r := range recs {
-		p.add(r)
-	}
-	p.om.stage.ObserveBatch(len(recs), len(recs)*trace.RecordSize)
-	p.om.batchLen.Observe(int64(len(recs)))
-	sp.End()
-	return nil
-}
-
 // AddCols folds a whole columnar batch into the profile. The six
 // whole-trace accumulators each scan just the columns they read; node-0
 // temporal locality and per-disk sequentiality fuse into one pass over
 // the node/sector/count/time columns. The per-disk tail state must stay
 // in the maps (Merge replays and perturbs them per field), but within a
 // batch it is cached in dense node-indexed arrays, so the two map
-// operations per record of the row path become two per (node, batch).
+// operations per record of a per-record fold become two per (node,
+// batch). Observation is per batch, keeping the instrumented hot path
+// cheap.
 func (p *Profiler) AddCols(cols *trace.ColBatch) error {
 	sp := p.om.span.Start()
 	p.summary.AddCols(cols)
@@ -176,8 +134,7 @@ func (p *Profiler) AddCols(cols *trace.ColBatch) error {
 				end[node], endOK[node] = e, true
 			} else {
 				// First record ever seen for this disk: remember its
-				// opening sector for Merge's boundary replay, exactly
-				// as the row path does.
+				// opening sector for Merge's boundary replay.
 				p.firstSector[node] = sec
 			}
 		}

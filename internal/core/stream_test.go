@@ -10,10 +10,10 @@ import (
 	"essio/internal/trace"
 )
 
-// TestProfilerMatchesCharacterize feeds the streaming Profiler one record
-// at a time from a Source and checks the result is identical to the batch
-// Characterize of the same trace — the single-pass path must change
-// nothing about the paper's characterization.
+// TestProfilerMatchesCharacterize feeds the row oracle one record at a
+// time and checks the result is identical to Characterize of the same
+// trace, whose columnar pass must change nothing about the paper's
+// characterization.
 func TestProfilerMatchesCharacterize(t *testing.T) {
 	f := func(seed int64, durSecs uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -31,8 +31,10 @@ func TestProfilerMatchesCharacterize(t *testing.T) {
 		}
 		duration := sim.Duration(durSecs) * sim.Second
 		p := NewProfiler("quick", duration, 4, 1024000)
-		if _, err := trace.Copy(p, trace.SliceSource(recs)); err != nil {
-			return false
+		for _, r := range recs {
+			if err := p.Add(r); err != nil {
+				return false
+			}
 		}
 		return reflect.DeepEqual(p.Profile(), Characterize("quick", recs, duration, 4, 1024000))
 	}
@@ -41,8 +43,8 @@ func TestProfilerMatchesCharacterize(t *testing.T) {
 	}
 }
 
-// TestProfilerOnSyntheticTrace pins the streaming path on the package's
-// structured synthetic workload.
+// TestProfilerOnSyntheticTrace pins the columnar path to the row oracle
+// on the package's structured synthetic workload.
 func TestProfilerOnSyntheticTrace(t *testing.T) {
 	recs := syntheticTrace()
 	p := NewProfiler("synthetic", 60*sim.Second, 1, 1024000)
@@ -52,6 +54,6 @@ func TestProfilerOnSyntheticTrace(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(p.Profile(), Characterize("synthetic", recs, 60*sim.Second, 1, 1024000)) {
-		t.Fatal("streaming profile diverged from batch")
+		t.Fatal("columnar profile diverged from the row oracle")
 	}
 }

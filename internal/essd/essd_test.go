@@ -39,12 +39,8 @@ func testRecords(n int) []trace.Record {
 func encodeBinary(t *testing.T, recs []trace.Record) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	if err := w.AddBatch(recs); err != nil {
+	if err := trace.WriteAll(&buf, recs); err != nil {
 		t.Fatalf("encode: %v", err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
 	}
 	return buf.Bytes()
 }

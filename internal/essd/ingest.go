@@ -90,10 +90,9 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	}
 
 	set := characterize.New(opts)
-	sink := set.Sink().(trace.BatchSink)
+	sink := set.Sink()
 	hasher := newContentHasher()
 	var retained []trace.Record
-	buf := make([]trace.Record, trace.DefaultBatchLen)
 	records, nextProgress := 0, progressEvery
 	for {
 		if err := r.Context().Err(); err != nil {
@@ -103,20 +102,21 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 			emit(ingestEvent{Event: "error", Records: records, Error: "request timeout"})
 			return
 		}
-		n, err := src.NextBatch(buf)
-		if n > 0 {
-			// Sink errors cannot happen: every accumulator Add returns
-			// nil by construction (essvet sinkerr would flag real ones).
-			_ = sink.AddBatch(buf[:n])
-			hasher.addBatch(buf[:n])
+		cols, err := src.NextCols(trace.DefaultBatchLen)
+		if cols != nil && cols.Len() > 0 {
+			// Sink errors cannot happen: every accumulator AddCols
+			// returns nil by construction (essvet sinkerr would flag
+			// real ones).
+			_ = sink.AddCols(cols)
+			hasher.addCols(cols)
 			if store {
-				// Element-wise append (note the ...): buf is reused by the
-				// next NextBatch refill, so retaining it whole would alias
-				// recycled memory — exactly what essvet spanretain flags.
-				// Copying the records breaks the alias.
-				retained = append(retained, buf[:n]...)
+				// AppendTo copies the records out: cols is a view the
+				// next NextCols call recycles, so retaining it would
+				// alias reused memory — exactly what essvet spanretain
+				// flags.
+				retained = cols.AppendTo(retained)
 			}
-			records += n
+			records += cols.Len()
 			if records >= nextProgress {
 				emit(ingestEvent{Event: "progress", Records: records,
 					Bytes: int64(records) * trace.RecordSize})

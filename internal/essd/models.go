@@ -75,13 +75,12 @@ func (s *Server) handleModelFit(w http.ResponseWriter, r *http.Request) {
 		}
 		fitter := model.NewFitter(label, nodes, disk, band)
 		hasher := newContentHasher()
-		buf := make([]trace.Record, trace.DefaultBatchLen)
 		for {
-			n, nerr := src.NextBatch(buf)
-			if n > 0 {
+			cols, nerr := src.NextCols(trace.DefaultBatchLen)
+			if cols != nil && cols.Len() > 0 {
 				// Fitter adds never fail.
-				_ = fitter.AddBatch(buf[:n])
-				hasher.addBatch(buf[:n])
+				_ = fitter.AddCols(cols)
+				hasher.addCols(cols)
 			}
 			if nerr == io.EOF {
 				break

@@ -22,10 +22,14 @@ func newContentHasher() *contentHasher {
 	return &contentHasher{h: sha256.New()}
 }
 
-func (c *contentHasher) addBatch(recs []trace.Record) {
-	for _, r := range recs {
-		r.Marshal(c.buf[:])
-		c.h.Write(c.buf[:])
+func (c *contentHasher) add(r trace.Record) {
+	r.Marshal(c.buf[:])
+	c.h.Write(c.buf[:])
+}
+
+func (c *contentHasher) addCols(cols *trace.ColBatch) {
+	for i, n := 0, cols.Len(); i < n; i++ {
+		c.add(cols.Record(i))
 	}
 }
 
@@ -39,7 +43,9 @@ func (c *contentHasher) sum() string {
 // predict cache keys.
 func HashRecords(recs []trace.Record) string {
 	c := newContentHasher()
-	c.addBatch(recs)
+	for _, r := range recs {
+		c.add(r)
+	}
 	return c.sum()
 }
 

@@ -112,17 +112,11 @@ type Result struct {
 
 // Source returns a streaming view of the merged trace: a k-way merge over
 // the per-node traces, yielding records in the same (Time, Node, Sector)
-// order as Merged without materializing another combined copy. Each call
-// returns an independent iterator.
+// order as Merged without materializing another combined copy. It is
+// also a trace.ColSource, so columnar consumers drain it a batch at a
+// time. Each call returns an independent iterator.
 func (r *Result) Source() trace.Source {
 	return trace.MergeSlices(r.PerNode...)
-}
-
-// BatchSource returns the same streaming merged view as Source at batch
-// granularity: consumers drain whole record buffers per call instead of
-// one record per call. Each call returns an independent iterator.
-func (r *Result) BatchSource() trace.BatchSource {
-	return trace.ToBatchSource(trace.MergeSlices(r.PerNode...))
 }
 
 func (c *Config) fill() {

@@ -3,7 +3,7 @@ package model
 // The Fitter's columnar entry point is a sequential unpack — gap and
 // run-length features couple consecutive records, so there is no
 // vectorized shortcut — and must therefore leave bit-identical state to
-// the row fold for any batch chunking.
+// the per-record step for any batch chunking.
 
 import (
 	"math/rand"
@@ -22,9 +22,7 @@ func TestQuickFitterColsMatchRows(t *testing.T) {
 		rows := NewFitter("t", 0, diskSectors, 0)
 		cols := NewFitter("t", 0, diskSectors, 0)
 		for _, r := range recs {
-			if err := rows.Add(r); err != nil {
-				return false
-			}
+			rows.add(r)
 		}
 		var b trace.ColBatch
 		rest := recs
@@ -44,5 +42,14 @@ func TestQuickFitterColsMatchRows(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// addRecs folds recs into f as one columnar batch.
+func addRecs(f *Fitter, recs []trace.Record) {
+	var b trace.ColBatch
+	b.AppendRecords(recs)
+	if err := f.AddCols(&b); err != nil {
+		panic(err)
 	}
 }

@@ -14,10 +14,10 @@ import (
 const DefaultBandSectors = 100000
 
 // Fitter fits a WorkloadModel from a trace in one streaming pass. It
-// implements trace.Sink, so it composes with trace.Tee: the same pass that
-// feeds the analysis accumulators can fit the generative model. Feed it
-// records in merged (Time, Node, Sector) order — the order every Source in
-// the pipeline produces — and call Model when the stream ends.
+// implements trace.ColSink, so it composes with trace.Tee: the same pass
+// that feeds the analysis accumulators can fit the generative model. Feed
+// it records in merged (Time, Node, Sector) order — the order every Source
+// in the pipeline produces — and call Model when the stream ends.
 type Fitter struct {
 	// Construction-time configuration: every shard of a parallel pass is
 	// built with identical values (Merge asserts the band geometry), so
@@ -91,7 +91,7 @@ func NewFitter(label string, nodes int, diskSectors, bandSectors uint32) *Fitter
 // SetAnchor pins the time origin of the per-second arrival bins. A
 // sharded pass anchors every fitter at the first record time of the whole
 // stream so per-shard binning — and therefore Merge — matches the
-// sequential fit. Must be called before the first Add.
+// sequential fit. Must be called before the first AddCols.
 func (f *Fitter) SetAnchor(t0 sim.Time) {
 	f.anchor = t0
 	f.anchored = true
@@ -110,8 +110,9 @@ func (f *Fitter) recordGap(gb int, t sim.Time) {
 	sg[gb]++
 }
 
-// Add folds one record into every fitted distribution.
-func (f *Fitter) Add(r trace.Record) error {
+// add folds one record into every fitted distribution: the fitter's
+// per-record step, which AddCols drives.
+func (f *Fitter) add(r trace.Record) {
 	if f.any {
 		// Inter-arrival gap of the merged stream, recorded overall and
 		// per second (of the later record) so Model can split gaps by
@@ -170,26 +171,17 @@ func (f *Fitter) Add(r trace.Record) error {
 	f.lastEnd[r.Node] = r.End()
 
 	f.pending[int(r.Pending)]++
-	return nil
-}
-
-// AddBatch folds a whole batch of records into the fit, amortizing the
-// per-record interface dispatch of batched copies.
-func (f *Fitter) AddBatch(recs []trace.Record) error {
-	for _, r := range recs {
-		f.Add(r)
-	}
-	return nil
 }
 
 // AddCols folds a columnar batch into the fit. Every fitted statistic
 // couples consecutive records (inter-arrival gaps, per-disk run
-// lengths), so the fold is inherently sequential; records are
-// reassembled from the columns and pushed through the exact per-record
-// path, which keeps columnar inputs bit-identical to row inputs.
+// lengths), so the fold is inherently sequential: records are
+// reassembled from the columns and pushed through the per-record step
+// in order, which makes the fit independent of how the stream is cut
+// into batches.
 func (f *Fitter) AddCols(cols *trace.ColBatch) error {
 	for i, n := 0, cols.Len(); i < n; i++ {
-		f.Add(cols.Record(i))
+		f.add(cols.Record(i))
 	}
 	return nil
 }
@@ -509,7 +501,7 @@ func fitZipf(counts map[uint32]int) float64 {
 // one-call form of the streaming fitter.
 func Fit(label string, src trace.Source, nodes int, diskSectors, bandSectors uint32) (*WorkloadModel, error) {
 	f := NewFitter(label, nodes, diskSectors, bandSectors)
-	if _, err := trace.Copy(f, src); err != nil {
+	if _, err := trace.CopyCols(f, trace.ToColSource(src)); err != nil {
 		return nil, err
 	}
 	return f.Model(), nil

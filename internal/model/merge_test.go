@@ -50,8 +50,8 @@ func TestQuickFitterMergeMatchesSequential(t *testing.T) {
 				a.SetAnchor(recs[0].Time)
 				b.SetAnchor(recs[0].Time)
 			}
-			a.AddBatch(recs[:cut])
-			b.AddBatch(recs[cut:])
+			addRecs(a, recs[:cut])
+			addRecs(b, recs[cut:])
 			a.Merge(b)
 			if got := a.Model(); !reflect.DeepEqual(got, want) {
 				t.Logf("cut=%d seed=%d:\n got %+v\nwant %+v", cut, seed, got, want)
@@ -80,7 +80,7 @@ func TestFitterMergeThreeWay(t *testing.T) {
 	for i, part := range parts {
 		fitters[i] = NewFitter("t", 0, diskSectors, 0)
 		fitters[i].SetAnchor(recs[0].Time)
-		fitters[i].AddBatch(part)
+		addRecs(fitters[i], part)
 	}
 	for _, f := range fitters[1:] {
 		fitters[0].Merge(f)

@@ -15,8 +15,9 @@ func feedFitter(acc any, shard int) {
 	f := acc.(*model.Fitter)
 	f.SetAnchor(0) // shards of one pass share the anchor
 	base := sim.Time(shard) * sim.Time(5*sim.Second)
+	var b trace.ColBatch
 	for i := 0; i < 40; i++ {
-		f.Add(trace.Record{
+		b.AppendRecord(trace.Record{
 			Time:    base + sim.Time(i)*sim.Time(sim.Second/8),
 			Sector:  uint32(1000*i + shard*64),
 			Count:   uint16(8 + i%3),
@@ -25,6 +26,9 @@ func feedFitter(acc any, shard int) {
 			Node:    uint8(i % 2),
 			Origin:  trace.Origin(i % 7),
 		})
+	}
+	if err := f.AddCols(&b); err != nil {
+		panic(err)
 	}
 }
 

@@ -131,14 +131,14 @@ func TestFitterBasics(t *testing.T) {
 }
 
 func TestFitterMatchesTeePass(t *testing.T) {
-	// The fitter is a Sink: fitting through a Tee alongside another
+	// The fitter is a ColSink: fitting through a Tee alongside another
 	// consumer must equal fitting alone.
 	recs := makeTrace(1000, 3)
 	alone := FitSlice("x", recs, 0, 1024000, 0)
 
 	teed := NewFitter("x", 0, 1024000, 0)
 	var collect trace.Collector
-	if _, err := trace.Copy(trace.Tee(&collect, teed), trace.SliceSource(recs)); err != nil {
+	if _, err := trace.CopyCols(trace.Tee(&collect, teed), trace.ToColSource(trace.SliceSource(recs))); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(alone, teed.Model()) {

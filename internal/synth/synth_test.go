@@ -204,7 +204,7 @@ func TestRoundTripSelfConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 		refit := model.NewFitter("refit", 0, m.DiskSectors, m.BandSectors)
-		if _, err := trace.Copy(refit, g); err != nil {
+		if _, err := trace.CopyCols(refit, trace.ToColSource(g)); err != nil {
 			t.Fatal(err)
 		}
 		d := model.Distance(m, refit.Model())

@@ -9,8 +9,8 @@ import (
 	"testing/quick"
 )
 
-// TestQuickBatchWriterMatchesPerRecord pins the batch encoder to the
-// per-record encoder byte for byte.
+// TestQuickBatchWriterMatchesPerRecord pins the columnar-batch encoder
+// to the per-record encoder byte for byte.
 func TestQuickBatchWriterMatchesPerRecord(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -27,7 +27,9 @@ func TestQuickBatchWriterMatchesPerRecord(t *testing.T) {
 		}
 		var batched bytes.Buffer
 		bw := NewWriter(&batched)
-		if err := bw.AddBatch(recs); err != nil {
+		var cols ColBatch
+		cols.AppendRecords(recs)
+		if err := bw.AddCols(&cols); err != nil {
 			return false
 		}
 		if err := bw.Flush(); err != nil {
@@ -41,7 +43,7 @@ func TestQuickBatchWriterMatchesPerRecord(t *testing.T) {
 }
 
 // TestQuickBatchReaderMatchesPerRecord decodes the same encoding through
-// NextBatch with an awkward buffer size and through Next, and requires
+// NextCols with an awkward batch size and through Next, and requires
 // identical records.
 func TestQuickBatchReaderMatchesPerRecord(t *testing.T) {
 	f := func(seed int64) bool {
@@ -63,13 +65,14 @@ func TestQuickBatchReaderMatchesPerRecord(t *testing.T) {
 			}
 			perRecord = append(perRecord, rec)
 		}
-		// A 7-record buffer forces many refills and a ragged final batch.
+		// 7-record batches force many refills and a ragged final batch.
 		br := NewReader(bytes.NewReader(buf.Bytes()))
 		var batched []Record
-		scratch := make([]Record, 7)
 		for {
-			n, err := br.NextBatch(scratch)
-			batched = append(batched, scratch[:n]...)
+			cols, err := br.NextCols(7)
+			if cols != nil {
+				batched = cols.AppendTo(batched)
+			}
 			if err == io.EOF {
 				break
 			}
@@ -85,7 +88,7 @@ func TestQuickBatchReaderMatchesPerRecord(t *testing.T) {
 }
 
 // TestBatchReaderTruncatedFile ensures a trailing partial record errors on
-// the batch path the same way the per-record path reports it.
+// the columnar batch path the same way the per-record path reports it.
 func TestBatchReaderTruncatedFile(t *testing.T) {
 	recs := mkRandTraces(rand.New(rand.NewSource(3)))[0]
 	if len(recs) == 0 {
@@ -97,13 +100,14 @@ func TestBatchReaderTruncatedFile(t *testing.T) {
 	}
 	truncated := buf.Bytes()[:buf.Len()-3]
 	br := NewReader(bytes.NewReader(truncated))
-	scratch := make([]Record, DefaultBatchLen)
 	got := 0
 	var err error
 	for {
-		var n int
-		n, err = br.NextBatch(scratch)
-		got += n
+		var cols *ColBatch
+		cols, err = br.NextCols(DefaultBatchLen)
+		if cols != nil {
+			got += cols.Len()
+		}
 		if err != nil {
 			break
 		}
@@ -111,50 +115,11 @@ func TestBatchReaderTruncatedFile(t *testing.T) {
 	if err == io.EOF || err == nil {
 		t.Fatalf("truncated read: n=%d err=%v", got, err)
 	}
+	if _, perRecord := nextAll(NewReader(bytes.NewReader(truncated))); perRecord == nil || perRecord.Error() != err.Error() {
+		t.Fatalf("batch error %v, per-record error %v", err, perRecord)
+	}
 	if got != len(recs)-1 {
 		t.Fatalf("salvaged %d of %d whole records", got, len(recs)-1)
-	}
-}
-
-// TestBatchAdapters round-trips records through every Source/Sink ↔
-// BatchSource/BatchSink adapter pairing.
-func TestBatchAdapters(t *testing.T) {
-	recs := mkRandTraces(rand.New(rand.NewSource(11)))[0]
-
-	// Source → BatchSource → Source.
-	perRecord := FromBatchSource(ToBatchSource(SliceSource(recs)))
-	var round []Record
-	for {
-		r, err := perRecord.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		round = append(round, r)
-	}
-	if len(round) != len(recs) || (len(recs) > 0 && !reflect.DeepEqual(round, recs)) {
-		t.Fatalf("source adapter round trip: %d of %d records", len(round), len(recs))
-	}
-
-	// Sink → BatchSink → Sink.
-	var c Collector
-	sink := FromBatchSink(ToBatchSink(&c))
-	for _, r := range recs {
-		if err := sink.Add(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(c.Recs) != len(recs) || (len(recs) > 0 && !reflect.DeepEqual(c.Recs, recs)) {
-		t.Fatalf("sink adapter round trip: %d of %d records", len(c.Recs), len(recs))
-	}
-
-	// CopyBatches moves everything at batch granularity.
-	var c2 Collector
-	n, err := CopyBatches(&c2, ToBatchSource(SliceSource(recs)))
-	if err != nil || n != len(recs) {
-		t.Fatalf("CopyBatches: n=%d err=%v", n, err)
 	}
 }
 
@@ -163,7 +128,9 @@ func TestBatchAdapters(t *testing.T) {
 func TestCollectorPreSize(t *testing.T) {
 	recs := mkRandTraces(rand.New(rand.NewSource(13)))[0]
 	c := NewCollector(len(recs))
-	if err := c.AddBatch(recs); err != nil {
+	var cols ColBatch
+	cols.AppendRecords(recs)
+	if err := c.AddCols(&cols); err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) > 0 && cap(c.Recs) != len(recs) {
@@ -175,5 +142,41 @@ func TestCollectorPreSize(t *testing.T) {
 	}
 	if len(got) != len(recs) {
 		t.Fatalf("collected %d of %d", len(got), len(recs))
+	}
+}
+
+// nextAll drains src record by record through Next, returning the
+// records decoded before the first error and that error (nil at a clean
+// end of stream).
+func nextAll(src Source) ([]Record, error) {
+	var out []Record
+	for {
+		r, err := src.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, r)
+	}
+}
+
+// colsAll drains src through NextCols with batches of at most max
+// records, returning the records decoded before the first error and
+// that error (nil at a clean end of stream).
+func colsAll(src ColSource, max int) ([]Record, error) {
+	var out []Record
+	for {
+		cols, err := src.NextCols(max)
+		if cols != nil {
+			out = cols.AppendTo(out)
+		}
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
 	}
 }

@@ -110,8 +110,9 @@ func TestQuickColRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickColWriterPathsIdentical requires the three encoder entry
-// points — Add, AddBatch, AddCols — to emit byte-identical files.
+// TestQuickColWriterPathsIdentical requires the encoder entry points —
+// Add, AddCols, and Copy from a row source — to emit byte-identical
+// files.
 func TestQuickColWriterPathsIdentical(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -130,7 +131,7 @@ func TestQuickColWriterPathsIdentical(t *testing.T) {
 
 		var batched bytes.Buffer
 		bw := NewColWriter(&batched)
-		if err := bw.AddBatch(recs); err != nil {
+		if _, err := Copy(bw, SliceSource(recs)); err != nil {
 			return false
 		}
 		if err := bw.Flush(); err != nil {
@@ -162,6 +163,9 @@ func drainCols(t *testing.T, src ColSource) []Record {
 	var out []Record
 	for {
 		view, err := src.NextCols(0)
+		if view != nil {
+			out = view.AppendTo(out)
+		}
 		if err == io.EOF {
 			return out
 		}
@@ -171,7 +175,6 @@ func drainCols(t *testing.T, src ColSource) []Record {
 		if view.Len() == 0 {
 			t.Fatal("NextCols returned an empty view without error")
 		}
-		out = view.AppendTo(out)
 	}
 }
 
@@ -206,7 +209,7 @@ func TestQuickMappedMatchesReader(t *testing.T) {
 }
 
 // TestMappedRowAccessors drains the mapped source through Next and
-// NextBatch with an awkward buffer size; all row views must agree.
+// through NextCols with an awkward batch size; both must agree.
 func TestMappedRowAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	recs := mkColRecords(rng)
@@ -238,26 +241,20 @@ func TestMappedRowAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var byBatch []Record
-	batch := make([]Record, 37) // deliberately misaligned with block size
-	for {
-		n, err := ms2.NextBatch(batch)
-		byBatch = append(byBatch, batch[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	// 37-record batches are deliberately misaligned with the block size.
+	byBatch, err := colsAll(ms2, 37)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(byBatch, recs) {
-		t.Fatal("mapped NextBatch diverged from input records")
+		t.Fatal("mapped NextCols diverged from input records")
 	}
 }
 
-// TestQuickColAdapters checks the batch adapters: a row source lifted by
-// ToColSource, a columnar source lowered by FromColSource, and a slice
-// batch served by SliceColSource must all reproduce the records.
+// TestQuickColAdapters checks the row edge and the columnar sources: a
+// row source lifted by ToColSource, a columnar decoder drained record by
+// record, and a slice batch served by SliceColSource must all reproduce
+// the records.
 func TestQuickColAdapters(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -272,7 +269,7 @@ func TestQuickColAdapters(t *testing.T) {
 		if err := WriteCol(&buf, recs); err != nil {
 			return false
 		}
-		lowered, err := Collect(FromColSource(NewColReader(bytes.NewReader(buf.Bytes()))))
+		lowered, err := nextAll(NewColReader(bytes.NewReader(buf.Bytes())))
 		if err != nil || !recsEqual(lowered, recs) {
 			return false
 		}
@@ -285,6 +282,19 @@ func TestQuickColAdapters(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// nativeCols reports whether d decodes the columnar format itself — the
+// mapped source or the streaming ColReader — rather than transposing
+// rows.
+func nativeCols(d decoder) bool {
+	switch d := d.(type) {
+	case *mappedColSource, *ColReader:
+		return true
+	case *ReaderSource:
+		return nativeCols(d.dec)
+	}
+	return false
 }
 
 func recsEqual(a, b []Record) bool {
@@ -319,7 +329,7 @@ func TestOpenFileSourceCol(t *testing.T) {
 		if src.Format() != FormatCol {
 			t.Fatalf("format %q: sniffed %q, want %q", format, src.Format(), FormatCol)
 		}
-		if _, ok := AsColSource(src); !ok {
+		if !nativeCols(src.dec) {
 			t.Fatalf("format %q: columnar file source has no native column view", format)
 		}
 		got, err := Collect(src)
@@ -350,7 +360,7 @@ func TestReaderSourceColSniff(t *testing.T) {
 	if rs.Format() != FormatCol {
 		t.Fatalf("sniffed %q, want %q", rs.Format(), FormatCol)
 	}
-	if _, ok := AsColSource(rs); !ok {
+	if !nativeCols(rs.dec) {
 		t.Fatal("sniffed columnar reader source has no native column view")
 	}
 	got, err := Collect(rs)
@@ -416,7 +426,7 @@ func BenchmarkColWrite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
 		w := NewColWriter(&buf)
-		if err := w.AddBatch(recs); err != nil {
+		if _, err := Copy(w, SliceSource(recs)); err != nil {
 			b.Fatal(err)
 		}
 		if err := w.Flush(); err != nil {

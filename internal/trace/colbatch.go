@@ -1,12 +1,13 @@
-// Columnar record batches: the struct-of-arrays counterpart of the
-// []Record batch layer. A ColBatch keeps each record field in its own
-// slice, so an accumulator that touches two fields of every record scans
-// two dense arrays instead of dragging all RecordSize bytes of each
-// record through cache — the layout the vectorized AddCols fast paths of
-// the analysis accumulators iterate. ColSource and ColSink move column
-// views across stage boundaries with the same zero-copy discipline as
-// record spans: a view is valid only until the next call into the
-// source, and must never be retained.
+// Columnar record batches: the one batch transport of the streaming
+// pipeline. A ColBatch keeps each record field in its own slice, so an
+// accumulator that touches two fields of every record scans two dense
+// arrays instead of dragging all RecordSize bytes of each record through
+// cache — the layout every AddCols fold iterates. ColSource and ColSink
+// move column views across stage boundaries with a zero-copy discipline:
+// a view is valid only until the next call into the source, and must
+// never be retained. Every decoder and the k-way merge serve columns
+// natively; per-record producers (in-memory slices, the synthesizer)
+// reach column sinks through the one row-to-column shim, ToColSource.
 
 package trace
 
@@ -70,6 +71,12 @@ func (b *ColBatch) resize(n int) {
 	b.Origins = growCol(b.Origins, n)
 }
 
+// set overwrites record i of the columns with r.
+func (b *ColBatch) set(i int, r Record) {
+	b.Times[i], b.Sectors[i], b.Counts[i], b.Pendings[i] = r.Time, r.Sector, r.Count, r.Pending
+	b.Ops[i], b.Nodes[i], b.Origins[i] = r.Op, r.Node, r.Origin
+}
+
 // AppendRecord transposes one record onto the columns.
 func (b *ColBatch) AppendRecord(r Record) {
 	b.Times = append(b.Times, r.Time)
@@ -121,8 +128,7 @@ func (b *ColBatch) AppendTo(dst []Record) []Record {
 }
 
 // Slice returns a view of records [i, j) sharing the column backing
-// arrays; like a record span, the view is only as durable as the batch
-// it came from.
+// arrays; the view is only as durable as the batch it came from.
 func (b *ColBatch) Slice(i, j int) ColBatch {
 	return ColBatch{
 		Times:    b.Times[i:j],
@@ -136,10 +142,13 @@ func (b *ColBatch) Slice(i, j int) ColBatch {
 }
 
 // ColSource is a pull iterator over columnar batches. NextCols returns a
-// view of up to max records that is valid only until the next call —
-// the same zero-copy contract as record spans — io.EOF at a clean end
-// of stream, and a terminal error otherwise. Sources of this package
-// never return an empty view with a nil error.
+// view of up to max records (max <= 0 means DefaultBatchLen) that is
+// valid only until the next call, and io.EOF at a clean end of stream.
+// Like io.Reader, it may return a non-empty view together with an
+// error — the records decoded before a malformed one — so callers
+// consume the view before acting on the error; any error other than
+// io.EOF is terminal. Sources of this package never return an empty
+// view with a nil error.
 type ColSource interface {
 	NextCols(max int) (*ColBatch, error)
 }
@@ -150,32 +159,10 @@ type ColSink interface {
 	AddCols(cols *ColBatch) error
 }
 
-// colNativeSource is implemented by wrappers (file and reader sources)
-// that can reveal a columnar-native inner source; it returns nil when
-// the wrapped stream is row-encoded.
-type colNativeSource interface{ colNative() ColSource }
-
-// AsColSource reports the columnar-native view of src, if it has one:
-// src itself when it is a ColSource, or the inner columnar decoder of a
-// file or reader source opened on a columnar stream. Row-backed sources
-// report false; Copy uses this probe to pick the all-columnar fast path
-// only when no transpose would be needed.
-func AsColSource(src Source) (ColSource, bool) {
-	switch s := src.(type) {
-	case colNativeSource:
-		if cs := s.colNative(); cs != nil {
-			return cs, true
-		}
-	case ColSource:
-		return s, true
-	}
-	return nil, false
-}
-
 // CopyCols streams every record from src into dst at column granularity
 // and reports how many records were transferred; the columnar form of
-// Copy. No record is ever materialized: views move straight from the
-// decoder (or mapped file) into the sink's column scans.
+// Copy. Views move straight from the source into the sink's column
+// scans.
 func CopyCols(dst ColSink, src ColSource) (int, error) {
 	n := 0
 	for {
@@ -195,128 +182,67 @@ func CopyCols(dst ColSink, src ColSource) (int, error) {
 	}
 }
 
-// ToColSource adapts src to the columnar interface: columnar-native
-// sources are returned unchanged, everything else is read through the
-// span layer and transposed one batch at a time.
+// ToColSource adapts src to the columnar interface. Sources that serve
+// columns — every decoder, file and reader source, and the merge of this
+// package — are returned unchanged. Any other Source is a row producer
+// (an in-memory slice, a synthesizer), and this is the row edge: its
+// records are transposed into a reused batch, straight from the slice
+// for SliceSource and one Next call at a time otherwise.
 func ToColSource(src Source) ColSource {
-	if cs, ok := AsColSource(src); ok {
+	if cs, ok := src.(ColSource); ok {
 		return cs
 	}
-	return &colBatcher{in: newSpanReader(src, DefaultBatchLen)}
+	return &rowCols{src: src}
 }
 
-// colBatcher transposes record spans into a reused columnar buffer, the
-// compatibility path for row sources under columnar consumers.
-type colBatcher struct {
-	in   *spanReader
-	span []Record
-	pos  int
-	buf  ColBatch
+// rowCols is the row-to-column shim behind ToColSource.
+type rowCols struct {
+	src Source
+	buf ColBatch
 }
 
-func (c *colBatcher) NextCols(max int) (*ColBatch, error) {
+func (c *rowCols) NextCols(max int) (*ColBatch, error) {
 	if max <= 0 {
 		max = DefaultBatchLen
 	}
-	if c.pos >= len(c.span) {
-		span, err := c.in.nextSpan()
-		if err != nil {
-			return nil, err
-		}
-		// The buffered span is fully consumed before the next nextSpan
-		// call refills it, so holding it across NextCols calls is safe.
-		c.span, c.pos = span, 0 //essvet:ignore spanretain
-	}
-	n := len(c.span) - c.pos
-	if n > max {
-		n = max
-	}
-	c.buf.Reset()
-	c.buf.AppendRecords(c.span[c.pos : c.pos+n])
-	c.pos += n
-	return &c.buf, nil
-}
-
-// FromColSource adapts a columnar source back to the per-record
-// interfaces; sources that already serve records are returned unchanged.
-func FromColSource(src ColSource) Source {
-	if s, ok := src.(Source); ok {
-		return s
-	}
-	return &colUnpacker{src: src}
-}
-
-// colUnpacker materializes columnar views one record (or span) at a
-// time.
-type colUnpacker struct {
-	src  ColSource
-	cols *ColBatch
-	pos  int
-	recs []Record // span materialization scratch
-}
-
-// fill buffers the next non-empty view.
-func (u *colUnpacker) fill() error {
-	cols, err := u.src.NextCols(DefaultBatchLen)
-	if err != nil {
-		return err
-	}
-	// The buffered view is fully consumed before the next NextCols call
-	// invalidates it, so holding it across calls is safe.
-	u.cols, u.pos = cols, 0 //essvet:ignore spanretain
-	return nil
-}
-
-func (u *colUnpacker) Next() (Record, error) {
-	if u.cols == nil || u.pos >= u.cols.Len() {
-		if err := u.fill(); err != nil {
-			return Record{}, err
-		}
-	}
-	r := u.cols.Record(u.pos)
-	u.pos++
-	return r, nil
-}
-
-func (u *colUnpacker) NextBatch(buf []Record) (int, error) {
+	b := &c.buf
+	b.resize(max)
 	n := 0
-	for n < len(buf) {
-		if u.cols == nil || u.pos >= u.cols.Len() {
-			if err := u.fill(); err != nil {
-				if err == io.EOF && n > 0 {
-					return n, io.EOF
-				}
-				return n, err
+	var err error
+	if s, ok := c.src.(*sliceSource); ok {
+		// In-memory rows transpose straight from the slice, without a
+		// Next call per record.
+		rest := s.recs[s.i:]
+		if len(rest) > max {
+			rest = rest[:max]
+		}
+		for j, r := range rest {
+			b.set(j, r)
+		}
+		n = len(rest)
+		s.i += n
+		if n == 0 {
+			err = io.EOF
+		}
+	} else {
+		for ; n < max; n++ {
+			var r Record
+			if r, err = c.src.Next(); err != nil {
+				break
 			}
+			b.set(n, r)
 		}
-		m := u.cols.Len() - u.pos
-		if m > len(buf)-n {
-			m = len(buf) - n
-		}
-		for i := 0; i < m; i++ {
-			buf[n+i] = u.cols.Record(u.pos + i)
-		}
-		n += m
-		u.pos += m
 	}
-	return n, nil
-}
-
-func (u *colUnpacker) NextSpan(max int) ([]Record, error) {
-	if max > DefaultBatchLen {
-		max = DefaultBatchLen
+	*b = b.Slice(0, n)
+	if n == 0 {
+		return nil, err
 	}
-	if u.recs == nil {
-		u.recs = make([]Record, DefaultBatchLen)
-	}
-	n, err := u.NextBatch(u.recs[:max])
-	return u.recs[:n], err
+	return b, err
 }
 
 // SliceColSource adapts an in-memory columnar batch to the Source
 // interface. The returned Source is also a ColSource serving sub-views
-// of b without copying, a BatchSource, and a span source, so both row
-// and columnar consumers read it at full width.
+// of b without copying.
 func SliceColSource(b *ColBatch) Source { return &colSliceSource{b: b} }
 
 // colSliceSource iterates an in-memory columnar batch.
@@ -324,7 +250,6 @@ type colSliceSource struct {
 	b    *ColBatch
 	i    int
 	view ColBatch
-	recs []Record // span materialization scratch
 }
 
 func (s *colSliceSource) Next() (Record, error) {
@@ -350,33 +275,4 @@ func (s *colSliceSource) NextCols(max int) (*ColBatch, error) {
 	s.view = s.b.Slice(s.i, j)
 	s.i = j
 	return &s.view, nil
-}
-
-func (s *colSliceSource) NextBatch(buf []Record) (int, error) {
-	n := s.b.Len() - s.i
-	if n > len(buf) {
-		n = len(buf)
-	}
-	for i := 0; i < n; i++ {
-		buf[i] = s.b.Record(s.i + i)
-	}
-	s.i += n
-	if s.i >= s.b.Len() {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-func (s *colSliceSource) NextSpan(max int) ([]Record, error) {
-	if s.i >= s.b.Len() {
-		return nil, io.EOF
-	}
-	if max > DefaultBatchLen {
-		max = DefaultBatchLen
-	}
-	if s.recs == nil {
-		s.recs = make([]Record, DefaultBatchLen)
-	}
-	n, err := s.NextBatch(s.recs[:max])
-	return s.recs[:n], err
 }

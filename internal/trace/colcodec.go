@@ -425,8 +425,8 @@ func validateTimes(ts []sim.Time) error {
 	return nil
 }
 
-// ColWriter encodes records to the columnar trace format. It is a Sink,
-// a BatchSink, and a ColSink; records accumulate into colBlockLen-record
+// ColWriter encodes records to the columnar trace format. It is a Sink
+// and a ColSink; records accumulate into colBlockLen-record
 // blocks that are column-encoded on flush. Call Flush when the stream
 // ends — an empty stream still writes the magic, the columnar encoding
 // of an empty trace.
@@ -516,24 +516,6 @@ func (w *ColWriter) Add(r Record) error {
 	return w.werr
 }
 
-// AddBatch encodes a whole record batch.
-func (w *ColWriter) AddBatch(recs []Record) error {
-	for len(recs) > 0 {
-		room := colBlockLen - w.batch.Len()
-		if room > len(recs) {
-			room = len(recs)
-		}
-		w.batch.AppendRecords(recs[:room])
-		recs = recs[room:]
-		if w.batch.Len() >= colBlockLen {
-			if err := w.flushBlock(); err != nil {
-				return err
-			}
-		}
-	}
-	return w.werr
-}
-
 // AddCols encodes a columnar batch without materializing records.
 func (w *ColWriter) AddCols(cols *ColBatch) error {
 	for i, n := 0, cols.Len(); i < n; {
@@ -570,16 +552,14 @@ func (w *ColWriter) Flush() error {
 }
 
 // ColReader decodes the columnar trace format incrementally. It is a
-// Source, a BatchSource, a span source, and a ColSource — columnar
-// consumers get views of each decoded block without transposing back to
-// records. An empty stream decodes as an empty trace, mirroring the
+// Source and a ColSource — columnar consumers get views of each decoded
+// block without transposing back to records. An empty stream decodes as an empty trace, mirroring the
 // binary reader.
 type ColReader struct {
 	br      *bufio.Reader
 	batch   ColBatch
 	pos     int
 	view    ColBatch
-	recs    []Record // span materialization scratch
 	payload []byte
 	off     int64
 	started bool
@@ -747,49 +727,11 @@ func (d *ColReader) Next() (Record, error) {
 	return r, nil
 }
 
-// NextBatch materializes up to len(buf) records from decoded blocks.
-func (d *ColReader) NextBatch(buf []Record) (int, error) {
-	n := 0
-	for n < len(buf) {
-		if d.pos >= d.batch.Len() {
-			if err := d.decodeBlock(); err != nil {
-				if err == io.EOF && n > 0 {
-					return n, io.EOF
-				}
-				return n, err
-			}
-		}
-		m := d.batch.Len() - d.pos
-		if m > len(buf)-n {
-			m = len(buf) - n
-		}
-		for i := 0; i < m; i++ {
-			buf[n+i] = d.batch.Record(d.pos + i)
-		}
-		n += m
-		d.pos += m
-	}
-	return n, nil
-}
-
-// NextSpan materializes up to max records into an internal scratch
-// buffer and returns a view of it, valid until the next call.
-func (d *ColReader) NextSpan(max int) ([]Record, error) {
-	if max > DefaultBatchLen {
-		max = DefaultBatchLen
-	}
-	if d.recs == nil {
-		d.recs = make([]Record, DefaultBatchLen)
-	}
-	n, err := d.NextBatch(d.recs[:max])
-	return d.recs[:n], err
-}
-
 // WriteCol encodes a whole trace in the columnar format; the columnar
 // sibling of WriteAll.
 func WriteCol(w io.Writer, recs []Record) error {
 	cw := NewColWriter(w)
-	if err := cw.AddBatch(recs); err != nil {
+	if _, err := Copy(cw, SliceSource(recs)); err != nil {
 		return err
 	}
 	return cw.Flush()

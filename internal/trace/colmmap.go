@@ -45,7 +45,6 @@ type mappedColSource struct {
 	cur  ColBatch // current block: views of data (raw) or own (decoded)
 	pos  int
 	view ColBatch
-	recs []Record // span materialization scratch
 	err  error
 	eof  bool
 }
@@ -218,44 +217,6 @@ func (m *mappedColSource) Next() (Record, error) {
 	r := m.cur.Record(m.pos)
 	m.pos++
 	return r, nil
-}
-
-// NextBatch materializes up to len(buf) records.
-func (m *mappedColSource) NextBatch(buf []Record) (int, error) {
-	n := 0
-	for n < len(buf) {
-		if m.pos >= m.cur.Len() {
-			if err := m.decodeBlock(); err != nil {
-				if err == io.EOF && n > 0 {
-					return n, io.EOF
-				}
-				return n, err
-			}
-		}
-		k := m.cur.Len() - m.pos
-		if k > len(buf)-n {
-			k = len(buf) - n
-		}
-		for i := 0; i < k; i++ {
-			buf[n+i] = m.cur.Record(m.pos + i)
-		}
-		n += k
-		m.pos += k
-	}
-	return n, nil
-}
-
-// NextSpan materializes up to max records into an internal scratch
-// buffer and returns a view of it, valid until the next call.
-func (m *mappedColSource) NextSpan(max int) ([]Record, error) {
-	if max > DefaultBatchLen {
-		max = DefaultBatchLen
-	}
-	if m.recs == nil {
-		m.recs = make([]Record, DefaultBatchLen)
-	}
-	n, err := m.NextBatch(m.recs[:max])
-	return m.recs[:n], err
 }
 
 // newColMmapFile maps f and builds a zero-copy columnar source over the

@@ -21,27 +21,20 @@ const (
 
 // FileSource is a Source reading a trace file; Close releases the file.
 // It remembers the resolved format so callers can report what they read.
-// It is also a BatchSource: binary files decode whole 64 KiB buffers per
-// NextBatch, text files fall back to a per-record fill.
+// It is also a ColSource: every format decodes straight into columnar
+// batches, and columnar files may serve views of the mapped file.
 type FileSource struct {
-	src    Source
-	batch  BatchSource
-	col    ColSource    // non-nil when the file is columnar
+	dec    decoder
 	unmap  func() error // releases an mmap-backed columnar view
 	f      *os.File
 	format string
 }
 
 // Next yields the next record of the file.
-func (s *FileSource) Next() (Record, error) { return s.src.Next() }
+func (s *FileSource) Next() (Record, error) { return s.dec.Next() }
 
-// NextBatch yields up to len(buf) records of the file.
-func (s *FileSource) NextBatch(buf []Record) (int, error) {
-	if s.batch == nil {
-		s.batch = ToBatchSource(s.src)
-	}
-	return s.batch.NextBatch(buf)
-}
+// NextCols yields a view of up to max records of the file.
+func (s *FileSource) NextCols(max int) (*ColBatch, error) { return s.dec.NextCols(max) }
 
 // Close closes the underlying file, releasing the mapping first when
 // the source is mmap-backed.
@@ -59,10 +52,6 @@ func (s *FileSource) Close() error {
 // Format reports the resolved encoding: FormatBinary, FormatText, or
 // FormatCol.
 func (s *FileSource) Format() string { return s.format }
-
-// colNative reveals the inner columnar source when the file is
-// columnar, nil otherwise; the AsColSource probe.
-func (s *FileSource) colNative() ColSource { return s.col }
 
 // OpenFileSource opens a trace file as a streaming Source. format is
 // FormatBinary, FormatText, FormatCol, or FormatAuto (sniff); the empty
@@ -89,14 +78,13 @@ func OpenFileSource(path, format string) (*FileSource, error) {
 	}
 	if rs.Format() == FormatCol {
 		if ms, unmap, merr := newColMmapFile(f); merr == nil {
-			return &FileSource{src: ms, col: ms, unmap: unmap, f: f, format: FormatCol}, nil
+			return &FileSource{dec: ms, unmap: unmap, f: f, format: FormatCol}, nil
 		}
 		// Mapping failed (unsupported platform, exotic file): rs has
 		// consumed nothing material — its buffered reader still holds
 		// the stream — so the streaming decoder serves the file.
-		return &FileSource{src: rs, col: rs.colNative(), f: f, format: FormatCol}, nil
 	}
-	return &FileSource{src: rs, f: f, format: rs.Format()}, nil
+	return &FileSource{dec: rs, f: f, format: rs.Format()}, nil
 }
 
 // OpenFileChunks opens a binary trace file as n record-aligned,
@@ -158,7 +146,7 @@ func OpenFileChunks(path string, n int) ([]*FileSource, error) {
 			return nil, err
 		}
 		lr := io.LimitReader(cf, count*RecordSize)
-		chunks = append(chunks, &FileSource{src: NewReader(lr), f: cf, format: FormatBinary})
+		chunks = append(chunks, &FileSource{dec: NewReader(lr), f: cf, format: FormatBinary})
 	}
 	return chunks, nil
 }

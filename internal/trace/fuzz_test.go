@@ -6,6 +6,25 @@ import (
 	"testing"
 )
 
+// decodeTwice decodes data with a fresh decoder per pass — record by
+// record through Next, and through NextCols at a ragged batch size
+// derived from the input length — and requires both passes to yield the
+// same records and the same accept or reject outcome, a truncated
+// trailing record included.
+func decodeTwice(t *testing.T, data []byte, open func([]byte) decoder) {
+	t.Helper()
+	perRecord, rerr := nextAll(open(data))
+	max := 1 + len(data)%7
+	batched, berr := colsAll(open(data), max)
+	if (rerr == nil) != (berr == nil) {
+		t.Fatalf("Next error %v, NextCols(%d) error %v", rerr, max, berr)
+	}
+	if !recsEqual(perRecord, batched) {
+		t.Fatalf("Next decoded %d records, NextCols(%d) %d (or contents differ)",
+			len(perRecord), max, len(batched))
+	}
+}
+
 // validateRecord checks the invariants the hardened decoders guarantee on
 // every record they accept.
 func validateRecord(t *testing.T, r Record) {
@@ -37,6 +56,7 @@ func FuzzDecodeBinary(f *testing.F) {
 	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		decodeTwice(t, data, func(b []byte) decoder { return NewReader(bytes.NewReader(b)) })
 		recs, err := ReadAll(bytes.NewReader(data))
 		if err != nil {
 			return // malformed input must error, never panic
@@ -167,6 +187,7 @@ func FuzzDecodeText(f *testing.F) {
 	f.Add("time_s\top\tsector\tcount\tpending\tnode\torigin\n0.25\tW\t7\t2\t1\t3\tswap\n")
 
 	f.Fuzz(func(t *testing.T, text string) {
+		decodeTwice(t, []byte(text), func(b []byte) decoder { return NewTextReader(bytes.NewReader(b)) })
 		recs, err := ReadText(bytes.NewReader([]byte(text)))
 		if err != nil {
 			return // malformed input must error, never panic

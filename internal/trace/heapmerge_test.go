@@ -205,32 +205,6 @@ func BenchmarkMergeLoserTree(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeLoserTreeBatch is the loser tree drained a whole buffer
-// per NextBatch — the full batched path.
-func BenchmarkMergeLoserTreeBatch(b *testing.B) {
-	traces := benchMergeTraces(16, 4096)
-	buf := make([]Record, DefaultBatchLen)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := MergeSources(benchSources(traces)...).(BatchSource)
-		n := 0
-		for {
-			k, err := src.NextBatch(buf)
-			n += k
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		if n != 16*4096 {
-			b.Fatalf("n=%d", n)
-		}
-	}
-}
-
 func drainRecords(src Source) (int, error) {
 	n := 0
 	for {

@@ -2,75 +2,60 @@
 // classic replacement-selection structure: after the winner is emitted,
 // replacing it replays exactly one match per tree level against the
 // stored losers — ceil(log2 k) record comparisons, no interface
-// dispatch, and no boxing of heap items through `any`. Inputs are read
-// through spanReader, so slice-backed and file-backed sources feed the
-// tree in whole batches.
+// dispatch beyond each input's Next, and no boxing of heap items
+// through `any`. The merge fills columnar batches itself, so column
+// consumers read it without a transpose.
 
 package trace
 
 import "io"
 
-// mergeSpanLen bounds how many records the merge buffers per input: one
-// span of at most this many records replaces the single buffered record
-// of the old heap merge.
-const mergeSpanLen = 1024
-
-// mergeInput is one leaf of the loser tree: a span-buffered input stream
-// and its current head record.
+// mergeInput is one leaf of the loser tree: an input stream and its
+// current head record.
 type mergeInput struct {
-	in   *spanReader
-	span []Record
-	pos  int
-	cur  Record
-	ok   bool // cur holds a live record
+	src Source
+	cur Record
+	ok  bool // cur holds a live record
 }
 
-// advance loads the next record of the input into cur, refilling the span
-// buffer as needed; ok reports liveness afterwards.
+// advance loads the next record of the input into cur; ok reports
+// liveness afterwards.
 func (m *mergeInput) advance() error {
-	if m.pos < len(m.span) {
-		m.cur = m.span[m.pos]
-		m.pos++
-		return nil
-	}
-	span, err := m.in.nextSpan()
-	if err == io.EOF {
-		m.ok = false
-		return nil
-	}
+	r, err := m.src.Next()
 	if err != nil {
 		m.ok = false
+		if err == io.EOF {
+			return nil
+		}
 		return err
 	}
-	// Each input owns its spanReader and drains the buffered span before
-	// the next refill, so holding it across advance calls is safe.
-	m.span, m.pos = span, 1 //essvet:ignore spanretain
-	m.cur = span[0]
+	m.cur = r
 	return nil
 }
 
 // mergeSource streams the k-way merge of its inputs in (Time, Node,
 // Sector) order with ties broken by input index, reproducing a stable
 // sort of the concatenated inputs. It implements both Source and
-// BatchSource; NextBatch extracts a whole buffer of winners per call.
+// ColSource; NextCols extracts a whole batch of winners per call.
 type mergeSource struct {
 	ins  []mergeInput
 	tree []int // [0] overall winner; [1..k-1] the loser of each match
 	init bool
-	err  error // deferred terminal error once buffered records drain
+	err  error    // deferred terminal error once extracted records drain
+	cols ColBatch // NextCols output, reused
 }
 
 // MergeSources returns a Source yielding the records of all inputs merged
 // by (Time, Node, Sector). Each input must already be ordered by that key
 // (per-node driver traces are, since rings preserve arrival order); ties
 // across inputs resolve in input order, matching the stable sort the
-// batch Merge performs. Memory use is one bounded span buffer per input
-// regardless of trace length. The returned Source is also a BatchSource,
-// so batch-aware consumers drain it a buffer of records at a time.
+// batch Merge performs. Memory use is one record per input regardless of
+// trace length. The returned Source is also a ColSource, so columnar
+// consumers drain it a batch at a time.
 func MergeSources(srcs ...Source) Source {
 	m := &mergeSource{ins: make([]mergeInput, len(srcs)), tree: make([]int, len(srcs))}
 	for i, s := range srcs {
-		m.ins[i].in = newSpanReader(s, mergeSpanLen)
+		m.ins[i].src = s
 		m.ins[i].ok = true // until the first advance says otherwise
 	}
 	return m
@@ -185,66 +170,66 @@ func (m *mergeSource) runnerUp(w int) int {
 	return ru
 }
 
-// NextBatch fills buf with merged records, amortizing the per-record
-// interface dispatch of the output side over whole buffers. Column-run
-// copying: per-node traces are long sorted runs, so after each
-// tournament the winner's buffered span keeps winning for many records —
-// those are bulk-copied against the fixed runner-up with one comparison
-// each, and the tree is replayed once per run instead of once per
-// record.
-func (m *mergeSource) NextBatch(buf []Record) (int, error) {
+// NextCols fills the merge's batch with up to max merged records and
+// returns a view of it, valid until the next call. Run copying: per-node
+// traces are long sorted runs, so after each tournament the winner keeps
+// winning for many records — those are copied against the fixed
+// runner-up with one comparison each, and the tree is replayed once per
+// run instead of once per record.
+func (m *mergeSource) NextCols(max int) (*ColBatch, error) {
+	if max <= 0 {
+		max = DefaultBatchLen
+	}
 	if !m.init {
 		if err := m.start(); err != nil {
-			return 0, err
+			return nil, err
 		}
 	}
 	if m.err != nil {
-		return 0, m.err
+		return nil, m.err
 	}
 	if len(m.ins) == 0 {
-		return 0, io.EOF
+		return nil, io.EOF
 	}
-	n := 0
-	for n < len(buf) {
+	out := &m.cols
+	out.Reset()
+	for out.Len() < max {
 		w := m.tree[0]
 		in := &m.ins[w]
 		if !in.ok {
 			m.err = io.EOF
-			return n, io.EOF
+			break
 		}
-		buf[n] = in.cur
-		n++
-		if ru := m.runnerUp(w); ru < 0 || !m.ins[ru].ok {
-			// No live rival: drain the winner's span freely.
-			for n < len(buf) && in.pos < len(in.span) {
-				buf[n] = in.span[in.pos]
-				n++
-				in.pos++
-			}
-		} else {
-			// Copy while the winner's next record still beats the
-			// runner-up's fixed head, preserving (Time, Node, Sector)
-			// order and input-index stability on ties.
-			rc := m.ins[ru].cur
-			for n < len(buf) && in.pos < len(in.span) {
-				h := in.span[in.pos]
-				if !less(h, rc) && (less(rc, h) || w > ru) {
-					break
-				}
-				buf[n] = h
-				n++
-				in.pos++
-			}
+		ru := m.runnerUp(w)
+		rival := ru >= 0 && m.ins[ru].ok
+		var rc Record
+		if rival {
+			rc = m.ins[ru].cur
 		}
-		if err := in.advance(); err != nil {
-			// Records already extracted are valid; surface the error on
-			// the next call.
-			m.err = err
-			return n, nil
+		// Copy while the winner's head still beats the runner-up's
+		// fixed head, preserving (Time, Node, Sector) order and
+		// input-index stability on ties; with no live rival, drain.
+		for {
+			out.AppendRecord(in.cur)
+			if err := in.advance(); err != nil {
+				// Records already extracted are valid; surface the
+				// error on the next call.
+				m.err = err
+				return out, nil
+			}
+			if !in.ok || out.Len() >= max {
+				break
+			}
+			if rival && !less(in.cur, rc) && (less(rc, in.cur) || w > ru) {
+				break
+			}
 		}
 		if len(m.ins) > 1 {
 			m.fix(w)
 		}
 	}
-	return n, nil
+	if out.Len() == 0 {
+		return nil, m.err
+	}
+	return out, nil
 }

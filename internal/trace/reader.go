@@ -6,17 +6,21 @@ import (
 	"io"
 )
 
+// decoder is what every format's decoder serves: records one at a time
+// and columnar batches.
+type decoder interface {
+	Source
+	ColSource
+}
+
 // ReaderSource is a Source decoding a trace stream from an arbitrary
 // io.Reader — a pipe, a network connection, an HTTP request body —
 // without ever seeking. Format sniffing peeks through a buffered
 // reader instead of rewinding, so stdin pipelines and live ingestion
-// work on the same open path files use. It is also a BatchSource:
-// binary streams decode whole 64 KiB buffers per NextBatch, text
-// streams fall back to a per-record fill.
+// work on the same open path files use. It is also a ColSource: every
+// format decodes straight into columnar batches.
 type ReaderSource struct {
-	src    Source
-	batch  BatchSource
-	col    ColSource // non-nil when the stream is columnar
+	dec    decoder
 	format string
 }
 
@@ -45,36 +49,26 @@ func NewReaderSource(r io.Reader, format string) (*ReaderSource, error) {
 	s := &ReaderSource{format: format}
 	switch format {
 	case FormatText:
-		s.src = NewTextReader(br)
+		s.dec = NewTextReader(br)
 	case FormatCol:
-		cr := NewColReader(br)
-		s.src, s.col = cr, cr
+		s.dec = NewColReader(br)
 	default:
 		// NewReader re-wraps br in a same-sized bufio.Reader, which
 		// bufio collapses to br itself: no double buffering.
-		s.src = NewReader(br)
+		s.dec = NewReader(br)
 	}
 	return s, nil
 }
 
 // Next yields the next record of the stream.
-func (s *ReaderSource) Next() (Record, error) { return s.src.Next() }
+func (s *ReaderSource) Next() (Record, error) { return s.dec.Next() }
 
-// NextBatch yields up to len(buf) records of the stream.
-func (s *ReaderSource) NextBatch(buf []Record) (int, error) {
-	if s.batch == nil {
-		s.batch = ToBatchSource(s.src)
-	}
-	return s.batch.NextBatch(buf)
-}
+// NextCols yields a view of up to max records of the stream.
+func (s *ReaderSource) NextCols(max int) (*ColBatch, error) { return s.dec.NextCols(max) }
 
 // Format reports the resolved encoding: FormatBinary, FormatText, or
 // FormatCol.
 func (s *ReaderSource) Format() string { return s.format }
-
-// colNative reveals the inner columnar decoder when the stream is
-// columnar, nil otherwise; the AsColSource probe.
-func (s *ReaderSource) colNative() ColSource { return s.col }
 
 // sniffReader decides among the binary, text, and columnar encodings by
 // peeking at the first bytes of br without consuming them. The columnar

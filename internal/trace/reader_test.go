@@ -78,17 +78,9 @@ func TestReaderSourceBatchReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]Record, DefaultBatchLen)
-	var got []Record
-	for {
-		n, err := src.NextBatch(buf)
-		got = append(got, buf[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+	got, err := colsAll(src, DefaultBatchLen)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, recs) {
 		t.Fatalf("batch read returned %d records, want %d (or contents differ)", len(got), len(recs))

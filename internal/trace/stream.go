@@ -29,9 +29,8 @@ type sliceSource struct {
 	i    int
 }
 
-// SliceSource adapts an in-memory trace to the Source interface. The
-// returned Source is also a BatchSource, and batch consumers read the
-// backing slice without copying.
+// SliceSource adapts an in-memory trace to the Source interface. It is
+// a row producer: columnar consumers read it through ToColSource.
 func SliceSource(recs []Record) Source { return &sliceSource{recs: recs} }
 
 func (s *sliceSource) Next() (Record, error) {
@@ -43,32 +42,8 @@ func (s *sliceSource) Next() (Record, error) {
 	return r, nil
 }
 
-// NextBatch copies up to len(buf) records out of the backing slice.
-func (s *sliceSource) NextBatch(buf []Record) (int, error) {
-	n := copy(buf, s.recs[s.i:])
-	s.i += n
-	if s.i >= len(s.recs) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// NextSpan returns a view of up to max ready records of the backing slice
-// without copying.
-func (s *sliceSource) NextSpan(max int) ([]Record, error) {
-	if s.i >= len(s.recs) {
-		return nil, io.EOF
-	}
-	span := s.recs[s.i:]
-	if len(span) > max {
-		span = span[:max]
-	}
-	s.i += len(span)
-	return span, nil
-}
-
-// Collector is a Sink that materializes the stream as a slice, the adapter
-// back to the batch world. It consumes whole batches with a single append.
+// Collector is a Sink and a ColSink that materializes the stream as a
+// slice, the adapter back to the in-memory world.
 type Collector struct {
 	Recs []Record
 }
@@ -85,12 +60,6 @@ func NewCollector(capacity int) *Collector {
 // Add appends r.
 func (c *Collector) Add(r Record) error {
 	c.Recs = append(c.Recs, r)
-	return nil
-}
-
-// AddBatch appends a whole batch at once.
-func (c *Collector) AddBatch(recs []Record) error {
-	c.Recs = append(c.Recs, recs...)
 	return nil
 }
 
@@ -114,21 +83,14 @@ func CollectSize(src Source, sizeHint int) ([]Record, error) {
 }
 
 // Copy streams every record from src into dst and reports how many records
-// were transferred. It stops at the first error from either side. When src
-// batches (every source of this package does), records move in whole
-// buffers, and a dst that implements BatchSink receives them without
-// per-record dispatch. When both ends are columnar — a columnar-native
-// source feeding a ColSink — column views move straight across and no
-// record is ever materialized.
+// were transferred. It stops at the first error from either side. A dst
+// that is also a ColSink — every sink of this package is — receives
+// whole columnar batches: column views straight from a decoder or the
+// merge, or the row edge's transpose (ToColSource) for anything else.
+// Other sinks receive one Add per record.
 func Copy(dst Sink, src Source) (int, error) {
 	if cd, ok := dst.(ColSink); ok {
-		if cs, ok := AsColSource(src); ok {
-			return CopyCols(cd, cs)
-		}
-	}
-	switch src.(type) {
-	case spanSource, BatchSource:
-		return copyBatched(dst, newSpanReader(src, DefaultBatchLen))
+		return CopyCols(cd, ToColSource(src))
 	}
 	n := 0
 	for {
@@ -146,130 +108,24 @@ func Copy(dst Sink, src Source) (int, error) {
 	}
 }
 
-// CopyBatches streams every record from src into dst at batch granularity
-// and reports how many records were transferred; the batch form of Copy.
-func CopyBatches(dst BatchSink, src BatchSource) (int, error) {
-	return copyBatched(FromBatchSink(dst), newSpanReader(src, DefaultBatchLen))
-}
-
-// copyBatched moves whole spans from in to dst.
-func copyBatched(dst Sink, in *spanReader) (int, error) {
-	bd, batched := dst.(BatchSink)
-	n := 0
-	for {
-		span, err := in.nextSpan()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if batched {
-			if err := bd.AddBatch(span); err != nil {
-				return n, err
-			}
-			n += len(span)
-			continue
-		}
-		for _, r := range span {
-			if err := dst.Add(r); err != nil {
-				return n, err
-			}
-			n++
-		}
-	}
-}
-
 // SinkFunc adapts a function to the Sink interface.
 type SinkFunc func(Record) error
 
 // Add calls f(r).
 func (f SinkFunc) Add(r Record) error { return f(r) }
 
-// tee fans each record out to several sinks. It forwards whole batches to
-// sinks that accept them and whole columnar batches to columnar sinks.
-type tee struct {
-	sinks   []Sink
-	batched []BatchSink // non-nil where the sink batches
-	cols    []ColSink   // non-nil where the sink is columnar
-	scratch []Record    // lazy row materialization for AddCols
-}
+// tee fans each columnar batch out to several sinks.
+type tee []ColSink
 
-// Tee returns a Sink that forwards every record to each sink in order, so
-// one pass over a trace feeds any number of accumulators. The returned
-// Sink is also a BatchSink and a ColSink: batches fan out whole to
-// batch-aware sinks and record by record to the rest, and columnar
-// batches fan out as column views to columnar sinks — rows are
-// materialized at most once per batch, and only if some sink needs them.
-func Tee(sinks ...Sink) Sink {
-	t := &tee{
-		sinks:   sinks,
-		batched: make([]BatchSink, len(sinks)),
-		cols:    make([]ColSink, len(sinks)),
-	}
-	for i, s := range sinks {
-		if bs, ok := s.(BatchSink); ok {
-			t.batched[i] = bs
-		}
-		if cs, ok := s.(ColSink); ok {
-			t.cols[i] = cs
-		}
-	}
-	return t
-}
+// Tee returns a ColSink that forwards every batch to each sink in order,
+// so one pass over a trace feeds any number of accumulators. Every sink
+// reads the same column views; none may retain them.
+func Tee(sinks ...ColSink) ColSink { return tee(sinks) }
 
-func (t *tee) Add(r Record) error {
-	for _, s := range t.sinks {
-		if err := s.Add(r); err != nil {
+func (t tee) AddCols(cols *ColBatch) error {
+	for _, s := range t {
+		if err := s.AddCols(cols); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// AddCols fans a columnar batch out to every sink: column views to
-// columnar sinks, materialized rows (built at most once) to the rest.
-func (t *tee) AddCols(cols *ColBatch) error {
-	var recs []Record
-	for i, s := range t.sinks {
-		if cs := t.cols[i]; cs != nil {
-			if err := cs.AddCols(cols); err != nil {
-				return err
-			}
-			continue
-		}
-		if recs == nil {
-			t.scratch = cols.AppendTo(t.scratch[:0])
-			recs = t.scratch
-		}
-		if bs := t.batched[i]; bs != nil {
-			if err := bs.AddBatch(recs); err != nil {
-				return err
-			}
-			continue
-		}
-		for _, r := range recs {
-			if err := s.Add(r); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// AddBatch fans a whole batch out to every sink.
-func (t *tee) AddBatch(recs []Record) error {
-	for i, s := range t.sinks {
-		if bs := t.batched[i]; bs != nil {
-			if err := bs.AddBatch(recs); err != nil {
-				return err
-			}
-			continue
-		}
-		for _, r := range recs {
-			if err := s.Add(r); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -324,13 +180,22 @@ func MergeSlices(traces ...[]Record) Source {
 	return MergeSources(srcs...)
 }
 
-// Reader decodes the binary trace format incrementally. It batches: each
-// refill decodes a whole 64 KiB buffer of fixed-size records, and both the
-// per-record Next and the batch NextBatch draw from it.
+// batchBytes is the codec's I/O granularity: encode and decode move whole
+// 64 KiB buffers of fixed-size records per call into the underlying reader
+// or writer instead of one record at a time.
+const batchBytes = 64 << 10
+
+// DefaultBatchLen is the record count of a default batch: as many
+// fixed-size records as fit the 64 KiB codec granularity.
+const DefaultBatchLen = batchBytes / RecordSize
+
+// Reader decodes the binary trace format incrementally: one record per
+// Next, or a whole 64 KiB buffer of records per NextCols, decoded
+// straight into a reused columnar batch.
 type Reader struct {
 	br   *bufio.Reader
 	raw  [batchBytes]byte
-	recs []Record // decode scratch for span reads
+	cols ColBatch
 }
 
 // NewReader returns a streaming decoder for the binary trace format.
@@ -350,54 +215,42 @@ func (d *Reader) Next() (Record, error) {
 	return UnmarshalRecord(d.raw[:recordSize])
 }
 
-// NextBatch decodes up to len(buf) records in one pass over a whole
-// encoded buffer, returning how many records are valid. A trailing
-// partial record surfaces as the same error the per-record path reports.
-func (d *Reader) NextBatch(buf []Record) (int, error) {
-	want := len(buf)
-	if want > batchBytes/recordSize {
-		want = batchBytes / recordSize
+// NextCols decodes up to max records (at most DefaultBatchLen) in one
+// pass over a whole encoded buffer and returns them as a view of the
+// reader's batch, valid until the next call. Every record passes
+// UnmarshalRecord's validation. An invalid record or a trailing partial
+// record ends the stream with the error Next reports for it, returned
+// together with the records decoded before it.
+func (d *Reader) NextCols(max int) (*ColBatch, error) {
+	if max <= 0 || max > DefaultBatchLen {
+		max = DefaultBatchLen
 	}
-	if want == 0 {
-		return 0, nil
-	}
-	nb, err := io.ReadFull(d.br, d.raw[:want*recordSize])
+	nb, err := io.ReadFull(d.br, d.raw[:max*recordSize])
 	full := nb / recordSize
+	c := &d.cols
+	c.resize(full)
 	for i := 0; i < full; i++ {
 		r, uerr := UnmarshalRecord(d.raw[i*recordSize:])
 		if uerr != nil {
-			return i, uerr
+			*c = c.Slice(0, i)
+			return c, uerr
 		}
-		buf[i] = r
+		c.set(i, r)
 	}
-	switch err {
-	case nil:
-		return full, nil
-	case io.EOF, io.ErrUnexpectedEOF:
-		if nb%recordSize != 0 {
-			return full, fmt.Errorf("trace: read: %w", io.ErrUnexpectedEOF)
-		}
-		return full, io.EOF
+	switch {
+	case err == nil || err == io.ErrUnexpectedEOF && nb%recordSize == 0:
+		return c, nil
+	case err == io.EOF:
+		return nil, io.EOF
+	case err == io.ErrUnexpectedEOF:
+		return c, fmt.Errorf("trace: read: %w", io.ErrUnexpectedEOF)
 	default:
-		return full, fmt.Errorf("trace: read: %w", err)
+		return c, fmt.Errorf("trace: read: %w", err)
 	}
 }
 
-// NextSpan decodes up to max records into an internal scratch buffer and
-// returns a view of it, valid until the next call.
-func (d *Reader) NextSpan(max int) ([]Record, error) {
-	if max > DefaultBatchLen {
-		max = DefaultBatchLen
-	}
-	if d.recs == nil {
-		d.recs = make([]Record, DefaultBatchLen)
-	}
-	n, err := d.NextBatch(d.recs[:max])
-	return d.recs[:n], err
-}
-
-// Writer encodes records to the binary trace format incrementally. It is a
-// Sink and a BatchSink — AddBatch marshals whole 64 KiB buffers per write
+// Writer encodes records to the binary trace format incrementally. It is
+// a Sink and a ColSink — AddCols marshals whole 64 KiB buffers per write
 // call. Call Flush when the stream ends.
 type Writer struct {
 	bw  *bufio.Writer
@@ -418,25 +271,21 @@ func (t *Writer) Add(r Record) error {
 	return nil
 }
 
-// AddBatch encodes a whole batch, marshaling records into full 64 KiB
+// AddCols encodes a columnar batch, marshaling records into full 64 KiB
 // buffers before each write call.
-func (t *Writer) AddBatch(recs []Record) error {
-	const perBuf = batchBytes / recordSize * recordSize
-	off := 0
-	for _, r := range recs {
-		if off+recordSize > perBuf {
-			if _, err := t.bw.Write(t.raw[:off]); err != nil {
-				return fmt.Errorf("trace: write: %w", err)
-			}
-			off = 0
+func (t *Writer) AddCols(cols *ColBatch) error {
+	for i, n := 0, cols.Len(); i < n; {
+		m := n - i
+		if m > DefaultBatchLen {
+			m = DefaultBatchLen
 		}
-		r.Marshal(t.raw[off:])
-		off += recordSize
-	}
-	if off > 0 {
-		if _, err := t.bw.Write(t.raw[:off]); err != nil {
+		for j := 0; j < m; j++ {
+			cols.Record(i + j).Marshal(t.raw[j*recordSize:])
+		}
+		if _, err := t.bw.Write(t.raw[:m*recordSize]); err != nil {
 			return fmt.Errorf("trace: write: %w", err)
 		}
+		i += m
 	}
 	return nil
 }

@@ -222,7 +222,7 @@ func TestStreamingTextRoundTrip(t *testing.T) {
 func TestTeeFansOut(t *testing.T) {
 	recs := mkRandTraces(rand.New(rand.NewSource(7)))[0]
 	var a, b Collector
-	n, err := Copy(Tee(&a, &b), SliceSource(recs))
+	n, err := CopyCols(Tee(&a, &b), ToColSource(SliceSource(recs)))
 	if err != nil {
 		t.Fatal(err)
 	}

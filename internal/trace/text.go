@@ -139,19 +139,28 @@ func parseTextLine(text string, line int) (rec Record, skip bool, err error) {
 }
 
 // TextReader parses the tab-separated format incrementally: one record per
-// Next call, skipping headers and comments, without reading the whole file
-// first.
+// Next call, or a batch of parsed lines per NextCols, skipping headers and
+// comments, without reading the whole file first.
 type TextReader struct {
 	sc   *bufio.Scanner
 	line int
+	cols rowCols // transposes parsed lines into a reused batch
 }
 
 // NewTextReader returns a streaming parser for the tab-separated format.
 func NewTextReader(r io.Reader) *TextReader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	return &TextReader{sc: sc}
+	t := &TextReader{sc: sc}
+	t.cols.src = t
+	return t
 }
+
+// NextCols parses up to max data lines into a view of the reader's
+// reused batch, valid until the next call. A malformed line ends the
+// stream with the error Next reports for it, returned together with the
+// records parsed before it.
+func (t *TextReader) NextCols(max int) (*ColBatch, error) { return t.cols.NextCols(max) }
 
 // Next parses the next data line, returning io.EOF at end of input.
 func (t *TextReader) Next() (Record, error) {

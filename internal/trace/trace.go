@@ -162,7 +162,7 @@ func UnmarshalRecord(buf []byte) (Record, error) {
 // buffers per write call.
 func WriteAll(w io.Writer, recs []Record) error {
 	tw := NewWriter(w)
-	if err := tw.AddBatch(recs); err != nil {
+	if _, err := Copy(tw, SliceSource(recs)); err != nil {
 		return err
 	}
 	return tw.Flush()

@@ -19,7 +19,7 @@ import (
 
 // Diagnostic is one analyzer finding with its position split out.
 type Diagnostic struct {
-	Analyzer string // analyzer name ("colparity", "spanretain", ...)
+	Analyzer string // analyzer name ("mergefields", "spanretain", ...)
 	File     string
 	Line     int
 	Col      int

@@ -14,11 +14,11 @@ import (
 func fixedDiags() []sarif.Diagnostic {
 	return []sarif.Diagnostic{
 		{Analyzer: "spanretain", File: "internal/essd/ingest.go", Line: 88, Col: 3,
-			Message: "trace span retained across NextSpan"},
-		{Analyzer: "colparity", File: "internal/analysis/cols.go", Line: 41, Col: 18,
-			Message: "AddCols of SummaryAcc does not read column Ops but Add reads field Op"},
-		{Analyzer: "colparity", File: "internal/analysis/cols.go", Line: 12, Col: 18,
-			Message: "AddCols of RateAcc does not read column Times but Add reads field Time"},
+			Message: "column view retained across NextCols"},
+		{Analyzer: "mergefields", File: "internal/analysis/stream.go", Line: 41, Col: 18,
+			Message: "Merge of SummaryAcc does not reference field first"},
+		{Analyzer: "mergefields", File: "internal/analysis/stream.go", Line: 12, Col: 18,
+			Message: "Merge of RateAcc does not reference field maxBin"},
 	}
 }
 
@@ -58,10 +58,10 @@ func TestParseVetJSON(t *testing.T) {
 	stdout := []byte(`# essio/internal/analysis
 {
 	"essio/internal/analysis": {
-		"colparity": [
+		"mergefields": [
 			{
-				"posn": "/repo/internal/analysis/cols.go:41:18",
-				"message": "AddCols of SummaryAcc does not read column Ops but Add reads field Op"
+				"posn": "/repo/internal/analysis/stream.go:41:18",
+				"message": "Merge of SummaryAcc does not reference field first"
 			}
 		]
 	}
@@ -73,7 +73,7 @@ func TestParseVetJSON(t *testing.T) {
 		"spanretain": [
 			{
 				"posn": "/repo/internal/essd/ingest.go:88:3",
-				"message": "trace span retained across NextSpan"
+				"message": "column view retained across NextCols"
 			}
 		]
 	}
@@ -86,8 +86,8 @@ func TestParseVetJSON(t *testing.T) {
 	if len(diags) != 2 {
 		t.Fatalf("got %d diagnostics, want 2: %+v", len(diags), diags)
 	}
-	// Sorted by file: analysis/cols.go before essd/ingest.go.
-	if diags[0].Analyzer != "colparity" || diags[0].Line != 41 || diags[0].Col != 18 {
+	// Sorted by file: analysis/stream.go before essd/ingest.go.
+	if diags[0].Analyzer != "mergefields" || diags[0].Line != 41 || diags[0].Col != 18 {
 		t.Errorf("diags[0] = %+v", diags[0])
 	}
 	if diags[1].Analyzer != "spanretain" || diags[1].File != "/repo/internal/essd/ingest.go" {
@@ -109,14 +109,14 @@ func TestBaselineFilter(t *testing.T) {
 	diags := fixedDiags()
 	b := &sarif.Baseline{Findings: []sarif.BaselineEntry{
 		{Analyzer: "spanretain", File: "internal/essd/ingest.go",
-			Message: "trace span retained across NextSpan"},
+			Message: "column view retained across NextCols"},
 	}}
 	accepted, fresh := b.Filter(diags)
 	if len(accepted) != 1 || accepted[0].Analyzer != "spanretain" {
 		t.Errorf("accepted = %+v, want the spanretain finding", accepted)
 	}
 	if len(fresh) != 2 {
-		t.Errorf("fresh = %+v, want both colparity findings", fresh)
+		t.Errorf("fresh = %+v, want both mergefields findings", fresh)
 	}
 }
 

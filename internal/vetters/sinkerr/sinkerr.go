@@ -1,6 +1,6 @@
 // Package sinkerr defines an analyzer enforcing the trace-sink error
 // contract: every error returned by a sink on the trace write path —
-// Sink.Add, BatchSink.AddBatch, and the Flush/Close of any type
+// Sink.Add, ColSink.AddCols, and the Flush/Close of any type
 // implementing those interfaces — must be consumed. A dropped sink
 // error truncates or corrupts a trace file silently, and everything
 // downstream (characterization, model fitting, replay) then analyzes
@@ -31,7 +31,7 @@ const name = "sinkerr"
 // Analyzer is the sinkerr analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: name,
-	Doc: "flag discarded errors from trace sink Add/AddBatch/Flush/Close calls\n\n" +
+	Doc: "flag discarded errors from trace sink Add/AddCols/Flush/Close calls\n\n" +
 		"Sinks report encoding and I/O failures through their error result; a\n" +
 		"call that drops it lets a truncated or unwritten trace pass silently\n" +
 		"into analysis. Errors must be checked or explicitly assigned to _.",
@@ -40,7 +40,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // checked are the method names the analyzer audits.
-var checked = map[string]bool{"Add": true, "AddBatch": true, "Flush": true, "Close": true}
+var checked = map[string]bool{"Add": true, "AddCols": true, "Flush": true, "Close": true}
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
@@ -62,7 +62,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if !ok || call == nil {
 			return
 		}
-		fn := typeutil.StaticCallee(pass.TypesInfo, call)
+		// Callee, not StaticCallee: calls through the Sink and ColSink
+		// interfaces drop errors just as silently as concrete ones.
+		fn, _ := typeutil.Callee(pass.TypesInfo, call).(*types.Func)
 		if fn == nil || !checked[fn.Name()] || !isSinkMethod(fn) {
 			return
 		}
@@ -79,7 +81,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 // isSinkMethod reports whether fn is an error-returning method of a
 // type that belongs to a trace package and implements its Sink or
-// BatchSink interface.
+// ColSink interface.
 func isSinkMethod(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
@@ -94,7 +96,7 @@ func isSinkMethod(fn *types.Func) bool {
 		return false
 	}
 	recv := sig.Recv().Type()
-	for _, name := range []string{"Sink", "BatchSink"} {
+	for _, name := range []string{"Sink", "ColSink"} {
 		obj, ok := pkg.Scope().Lookup(name).(*types.TypeName)
 		if !ok {
 			continue

@@ -8,8 +8,12 @@ func Bare(w *trace.Writer, r trace.Record) {
 	w.Add(r) // want `error result of \(\*Writer\)\.Add is discarded`
 }
 
-func BareBatch(w *trace.Writer, recs []trace.Record) {
-	w.AddBatch(recs) // want `error result of \(\*Writer\)\.AddBatch is discarded`
+func BareCols(w *trace.Writer, cols *trace.ColBatch) {
+	w.AddCols(cols) // want `error result of \(\*Writer\)\.AddCols is discarded`
+}
+
+func BareColSink(s trace.ColSink, cols *trace.ColBatch) {
+	s.AddCols(cols) // want `error result of \(ColSink\)\.AddCols is discarded`
 }
 
 func Deferred(w *trace.Writer) {

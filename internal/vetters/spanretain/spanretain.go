@@ -1,31 +1,24 @@
-// Package spanretain defines an analyzer enforcing the zero-copy span
-// contract of the batch layer: record slices handed out by the
-// NextSpan methods of trace sources, and the batch passed into an
-// AddBatch implementation, are views of a reused 64 KiB codec buffer.
-// They are valid only until the next call into the source; retaining
-// one — storing it in a struct field or global, sending it on a
-// channel, stashing it in a map, or capturing it in a closure that
-// outlives the call — aliases memory that the next refill silently
-// overwrites. The bug never crashes: the retained span just starts
-// describing different records.
-//
-// The columnar batch layer carries the same contract: the *ColBatch
-// views handed out by NextCols/nextCols, and the batch passed into an
-// AddCols implementation, alias reused column buffers (or a read-only
-// mmap window), as do the column slices selected from them
-// (view.Times, view.Sectors, ...).
+// Package spanretain defines an analyzer enforcing the zero-copy view
+// contract of the columnar batch layer: the *ColBatch views handed out
+// by the NextCols/nextCols methods of trace sources, and the batch
+// passed into an AddCols implementation, alias reused column buffers
+// (or a read-only mmap window), as do the column slices selected from
+// them (view.Times, view.Sectors, ...). They are valid only until the
+// next call into the source; retaining one — storing it in a struct
+// field or global, sending it on a channel, stashing it in a map, or
+// capturing it in a closure that outlives the call — aliases memory that
+// the next refill silently overwrites. The bug never crashes: the
+// retained view just starts describing different records.
 //
 // The analyzer tracks, within each function body,
 //
-//   - variables bound to the result of a NextSpan/nextSpan or
-//     NextCols/nextCols call on a trace-package type,
-//   - the slice parameter of an AddBatch method implementation
-//     (BatchSink documents "recs must not be retained"), and
+//   - variables bound to the result of a NextCols/nextCols call on a
+//     trace-package type, and
 //   - the pointer parameter of an AddCols method implementation
-//     (ColSink carries the same clause),
+//     (ColSink documents "cols must not be retained"),
 //
 // including aliases made by plain assignment, re-slicing, or column
-// selection, and flags any retention point. Escaping the span on
+// selection, and flags any retention point. Escaping the view on
 // purpose (an adapter that forwards it under the same contract) is
 // suppressed with //essvet:ignore spanretain.
 package spanretain
@@ -48,12 +41,12 @@ const name = "spanretain"
 // Analyzer is the spanretain analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: name,
-	Doc: "flag retention of zero-copy record spans from the trace batch layer\n\n" +
-		"Spans returned by NextSpan, column views returned by NextCols, and batches\n" +
-		"passed to AddBatch/AddCols are backed by reused codec buffers (or read-only\n" +
-		"mmap windows) and are invalid after the next source call; storing them in\n" +
-		"fields, globals, maps, or channels, or capturing them in escaping closures,\n" +
-		"aliases memory the next refill overwrites. Copy first.",
+	Doc: "flag retention of zero-copy column views from the trace batch layer\n\n" +
+		"Column views returned by NextCols and batches passed to AddCols are backed\n" +
+		"by reused decode buffers (or read-only mmap windows) and are invalid after\n" +
+		"the next source call; storing them in fields, globals, maps, or channels,\n" +
+		"or capturing them in escaping closures, aliases memory the next refill\n" +
+		"overwrites. Copy first.",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -71,7 +64,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				return
 			}
 			body = fn.Body
-			if fn.Recv != nil && (fn.Name.Name == "AddBatch" || fn.Name.Name == "AddCols") {
+			if fn.Recv != nil && fn.Name.Name == "AddCols" {
 				trackBatchParam(pass, fn, tracked)
 			}
 		case *ast.FuncLit:
@@ -80,7 +73,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if vetutil.InTestFile(pass.Fset, body.Pos()) {
 			return
 		}
-		collectSpanVars(pass, body, tracked)
+		collectViewVars(pass, body, tracked)
 		if len(tracked) == 0 {
 			return
 		}
@@ -89,8 +82,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// trackBatchParam marks the batch parameter of an AddBatch ([]Record)
-// or AddCols (*ColBatch) method implementing the trace sink contracts.
+// trackBatchParam marks the batch parameter of an AddCols (*ColBatch)
+// method implementing the trace sink contract.
 func trackBatchParam(pass *analysis.Pass, fn *ast.FuncDecl, tracked map[types.Object]bool) {
 	obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func)
 	if !ok {
@@ -100,9 +93,7 @@ func trackBatchParam(pass *analysis.Pass, fn *ast.FuncDecl, tracked map[types.Ob
 	if sig.Params().Len() != 1 {
 		return
 	}
-	switch sig.Params().At(0).Type().Underlying().(type) {
-	case *types.Slice, *types.Pointer:
-	default:
+	if _, ok := sig.Params().At(0).Type().Underlying().(*types.Pointer); !ok {
 		return
 	}
 	if len(fn.Type.Params.List) == 1 && len(fn.Type.Params.List[0].Names) == 1 {
@@ -112,9 +103,9 @@ func trackBatchParam(pass *analysis.Pass, fn *ast.FuncDecl, tracked map[types.Ob
 	}
 }
 
-// collectSpanVars finds variables bound to NextSpan results and their
+// collectViewVars finds variables bound to NextCols results and their
 // aliases, iterating assignments to a fixpoint within the body.
-func collectSpanVars(pass *analysis.Pass, body *ast.BlockStmt, tracked map[types.Object]bool) {
+func collectViewVars(pass *analysis.Pass, body *ast.BlockStmt, tracked map[types.Object]bool) {
 	for {
 		grew := false
 		ast.Inspect(body, func(n ast.Node) bool {
@@ -122,14 +113,14 @@ func collectSpanVars(pass *analysis.Pass, body *ast.BlockStmt, tracked map[types
 			if !ok || len(as.Lhs) < 1 || len(as.Rhs) < 1 {
 				return true
 			}
-			// span, err := src.NextSpan(n)  — the span is Lhs[0].
-			if call, ok := as.Rhs[0].(*ast.CallExpr); ok && len(as.Rhs) == 1 && isSpanCall(pass, call) {
+			// view, err := src.NextCols(n)  — the view is Lhs[0].
+			if call, ok := as.Rhs[0].(*ast.CallExpr); ok && len(as.Rhs) == 1 && isViewCall(pass, call) {
 				if vetutil.Mark(pass.TypesInfo, as.Lhs[0], tracked) {
 					grew = true
 				}
 				return true
 			}
-			// alias := span   or   alias := span[i:j]
+			// alias := view   or   alias := view.Sectors[i:j]
 			if len(as.Lhs) == len(as.Rhs) {
 				for i, rhs := range as.Rhs {
 					if vetutil.IsTracked(pass.TypesInfo, rhs, tracked) {
@@ -149,13 +140,13 @@ func collectSpanVars(pass *analysis.Pass, body *ast.BlockStmt, tracked map[types
 	}
 }
 
-// isSpanCall reports whether call invokes a view-returning NextSpan or
-// NextCols method declared in a trace package.
-func isSpanCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	return vetutil.TraceMethodCall(pass.TypesInfo, call, "NextSpan", "nextSpan", "NextCols", "nextCols")
+// isViewCall reports whether call invokes a view-returning NextCols
+// method declared in a trace package.
+func isViewCall(pass *analysis.Pass, call *ast.CallExpr) bool {
+	return vetutil.TraceMethodCall(pass.TypesInfo, call, "NextCols", "nextCols")
 }
 
-// checkRetention reports every point where a tracked span escapes the
+// checkRetention reports every point where a tracked view escapes the
 // call frame.
 func checkRetention(pass *analysis.Pass, ignores *vetutil.Ignores, body *ast.BlockStmt, tracked map[types.Object]bool) {
 	report := func(pos ast.Node, what string) {
@@ -163,7 +154,7 @@ func checkRetention(pass *analysis.Pass, ignores *vetutil.Ignores, body *ast.Blo
 			return
 		}
 		pass.Reportf(pos.Pos(),
-			"zero-copy record span %s; the backing buffer is reused on the next source call — copy the records first (append([]trace.Record(nil), span...))", what)
+			"zero-copy column view %s; the backing columns are reused on the next source call — copy the records first (view.AppendTo or AppendCols)", what)
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -198,8 +189,8 @@ func checkRetention(pass *analysis.Pass, ignores *vetutil.Ignores, body *ast.Blo
 				}
 			}
 		case *ast.CallExpr:
-			// append(list, span) stores the slice header itself;
-			// append(dst, span...) copies elements and is fine.
+			// append(list, view.Sectors) stores the slice header itself;
+			// append(dst, view.Sectors...) copies elements and is fine.
 			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "append" && isBuiltin(pass, id) {
 				for _, arg := range n.Args[min(1, len(n.Args)):] {
 					if vetutil.IsTracked(pass.TypesInfo, arg, tracked) && n.Ellipsis == 0 {
@@ -209,17 +200,17 @@ func checkRetention(pass *analysis.Pass, ignores *vetutil.Ignores, body *ast.Blo
 			}
 		case *ast.DeferStmt:
 			// A deferred or spawned closure runs after — or concurrently
-			// with — further source calls, when the span is already stale.
+			// with — further source calls, when the view is already stale.
 			if fl, ok := n.Call.Fun.(*ast.FuncLit); ok && vetutil.CapturesTracked(pass.TypesInfo, fl, tracked) {
-				report(n, "captured by a deferred closure that runs after the span is stale")
+				report(n, "captured by a deferred closure that runs after the view is stale")
 			}
 		case *ast.GoStmt:
 			if fl, ok := n.Call.Fun.(*ast.FuncLit); ok && vetutil.CapturesTracked(pass.TypesInfo, fl, tracked) {
-				report(n, "captured by a goroutine racing the span's reuse")
+				report(n, "captured by a goroutine racing the view's reuse")
 			}
 		case *ast.FuncLit:
 			if vetutil.CapturesTracked(pass.TypesInfo, n, tracked) && !immediatelyInvoked(body, n) {
-				report(n, "captured by a closure that may outlive the span")
+				report(n, "captured by a closure that may outlive the view")
 			}
 			return false // don't descend: inner body already scanned as its own function
 		}

@@ -1,20 +1,6 @@
 // Stub of the repo's trace package for the spanretain fixtures: a
-// source whose NextSpan hands out views of a reused buffer.
+// source whose NextCols hands out views of reused column buffers.
 package trace
-
-// Record is one trace record.
-type Record struct{ Sector uint32 }
-
-// Reader hands out zero-copy spans of its decode buffer.
-type Reader struct{ buf []Record }
-
-// NextSpan returns up to max ready records, valid until the next call.
-func (r *Reader) NextSpan(max int) ([]Record, error) {
-	if max > len(r.buf) {
-		max = len(r.buf)
-	}
-	return r.buf[:max], nil
-}
 
 // ColBatch is a struct-of-arrays view of a run of records.
 type ColBatch struct {

@@ -1,141 +1,73 @@
 // Fixtures for the spanretain analyzer: every retention point for a
-// zero-copy span, next to the legitimate consume-and-copy patterns.
+// zero-copy column view, next to the legitimate consume-and-copy
+// patterns.
 package use
 
 import "essvet.test/internal/trace"
 
-var global []trace.Record
-
-type holder struct {
-	spans [][]trace.Record
-	buf   []trace.Record
-	ch    chan []trace.Record
-}
-
-func (h *holder) storeField(r *trace.Reader) {
-	span, _ := r.NextSpan(64)
-	h.buf = span // want `zero-copy record span stored in a struct field`
-}
-
-func (h *holder) storeGlobal(r *trace.Reader) {
-	span, _ := r.NextSpan(64)
-	global = span // want `zero-copy record span stored in a package-level variable`
-}
-
-func (h *holder) send(r *trace.Reader) {
-	span, _ := r.NextSpan(64)
-	h.ch <- span // want `zero-copy record span sent on a channel`
-}
-
-func (h *holder) aliasReslice(r *trace.Reader) {
-	span, _ := r.NextSpan(64)
-	s2 := span[:1]
-	h.buf = s2 // want `zero-copy record span stored in a struct field`
-}
-
-func (h *holder) appendValue(r *trace.Reader) {
-	span, _ := r.NextSpan(64)
-	h.spans = append(h.spans, span) // want `zero-copy record span appended as a slice value`
-}
-
-func (h *holder) goroutine(r *trace.Reader) {
-	span, _ := r.NextSpan(64)
-	go func() { // want `zero-copy record span captured by a goroutine racing the span's reuse`
-		sum(span)
-	}()
-}
-
-func (h *holder) deferred(r *trace.Reader) {
-	span, _ := r.NextSpan(64)
-	defer func() { // want `zero-copy record span captured by a deferred closure`
-		sum(span)
-	}()
-}
-
-func (h *holder) escaping(r *trace.Reader) func() int {
-	span, _ := r.NextSpan(64)
-	return func() int { return len(span) } // want `zero-copy record span captured by a closure that may outlive the span`
-}
-
-// consume reads the span before the next source call: fine.
-func consume(r *trace.Reader) uint32 {
-	span, _ := r.NextSpan(64)
-	return sum(span)
-}
-
-// copyFirst breaks the alias with an element copy: fine.
-func (h *holder) copyFirst(r *trace.Reader) {
-	span, _ := r.NextSpan(64)
-	h.buf = append([]trace.Record(nil), span...)
-}
-
-// sink must not retain its AddBatch parameter.
-type sink struct {
-	last []trace.Record
-}
-
-func (s *sink) AddBatch(recs []trace.Record) error {
-	s.last = recs // want `zero-copy record span stored in a struct field`
-	return nil
-}
-
-// forwarder passes the batch on under the same contract: fine.
-type forwarder struct {
-	dst *sink
-}
-
-func (f *forwarder) AddBatch(recs []trace.Record) error {
-	return f.dst.AddBatch(recs)
-}
-
-// adapter opts out with the ignore directive.
-func (h *holder) adapter(r *trace.Reader) {
-	span, _ := r.NextSpan(64)
-	h.buf = span //essvet:ignore spanretain consumed before the next refill
-}
-
-func sum(span []trace.Record) uint32 {
-	var t uint32
-	for _, rec := range span {
-		t += rec.Sector
-	}
-	return t
-}
-
-// Columnar views carry the same contract as record spans.
+var global *trace.ColBatch
 
 type colHolder struct {
 	view    *trace.ColBatch
+	views   map[int]*trace.ColBatch
 	sectors []uint32
 	all     [][]uint32
+	ch      chan *trace.ColBatch
 }
 
 func (h *colHolder) storeView(r *trace.ColReader) {
 	view, _ := r.NextCols(64)
-	h.view = view // want `zero-copy record span stored in a struct field`
+	h.view = view // want `zero-copy column view stored in a struct field`
+}
+
+func (h *colHolder) storeGlobal(r *trace.ColReader) {
+	view, _ := r.NextCols(64)
+	global = view // want `zero-copy column view stored in a package-level variable`
+}
+
+func (h *colHolder) storeMap(r *trace.ColReader) {
+	view, _ := r.NextCols(64)
+	h.views[0] = view // want `zero-copy column view stored in a map or slice element`
+}
+
+func (h *colHolder) send(r *trace.ColReader) {
+	view, _ := r.NextCols(64)
+	h.ch <- view // want `zero-copy column view sent on a channel`
 }
 
 func (h *colHolder) storeColumn(r *trace.ColReader) {
 	view, _ := r.NextCols(64)
-	h.sectors = view.Sectors // want `zero-copy record span stored in a struct field`
+	h.sectors = view.Sectors // want `zero-copy column view stored in a struct field`
 }
 
 func (h *colHolder) aliasColumnReslice(r *trace.ColReader) {
 	view, _ := r.NextCols(64)
 	secs := view.Sectors[:1]
-	h.sectors = secs // want `zero-copy record span stored in a struct field`
+	h.sectors = secs // want `zero-copy column view stored in a struct field`
 }
 
 func (h *colHolder) appendColumn(r *trace.ColReader) {
 	view, _ := r.NextCols(64)
-	h.all = append(h.all, view.Sectors) // want `zero-copy record span appended as a slice value`
+	h.all = append(h.all, view.Sectors) // want `zero-copy column view appended as a slice value`
 }
 
 func (h *colHolder) goroutineView(r *trace.ColReader) {
 	view, _ := r.NextCols(64)
-	go func() { // want `zero-copy record span captured by a goroutine racing the span's reuse`
+	go func() { // want `zero-copy column view captured by a goroutine racing the view's reuse`
 		sumCol(view.Sectors)
 	}()
+}
+
+func (h *colHolder) deferred(r *trace.ColReader) {
+	view, _ := r.NextCols(64)
+	defer func() { // want `zero-copy column view captured by a deferred closure`
+		sumCol(view.Sectors)
+	}()
+}
+
+func (h *colHolder) escaping(r *trace.ColReader) func() int {
+	view, _ := r.NextCols(64)
+	return func() int { return len(view.Sectors) } // want `zero-copy column view captured by a closure that may outlive the view`
 }
 
 // consumeCols folds the view before the next call: fine.
@@ -150,6 +82,12 @@ func (h *colHolder) copyColumnFirst(r *trace.ColReader) {
 	h.sectors = append([]uint32(nil), view.Sectors...)
 }
 
+// adapter opts out with the ignore directive.
+func (h *colHolder) adapter(r *trace.ColReader) {
+	view, _ := r.NextCols(64)
+	h.view = view //essvet:ignore spanretain consumed before the next refill
+}
+
 // colSink must not retain its AddCols parameter or its columns.
 type colSink struct {
 	last    *trace.ColBatch
@@ -157,8 +95,8 @@ type colSink struct {
 }
 
 func (s *colSink) AddCols(cols *trace.ColBatch) error {
-	s.last = cols            // want `zero-copy record span stored in a struct field`
-	s.sectors = cols.Sectors // want `zero-copy record span stored in a struct field`
+	s.last = cols            // want `zero-copy column view stored in a struct field`
+	s.sectors = cols.Sectors // want `zero-copy column view stored in a struct field`
 	return nil
 }
 

@@ -1,11 +1,10 @@
 // Package vetters assembles the essvet static-analysis suite: the
 // custom golang.org/x/tools/go/analysis analyzers that machine-check
-// this repository's correctness invariants — row/column parity of
-// accumulator fast paths (colparity), exact accumulator merges
+// this repository's correctness invariants — exact accumulator merges
 // (mergefields), seed-pure simulation and deterministic output order
 // (determinism), read-only mmap-aliased column views (mmapalias),
 // cross-shard engine isolation (sharddiscipline), consumed sink errors
-// (sinkerr), and unretained zero-copy batch spans (spanretain) — plus
+// (sinkerr), and unretained zero-copy column views (spanretain) — plus
 // two stock x/tools passes the repo's concurrency patterns make
 // load-bearing: copylocks (the barrier WaitGroups and engine mutexes
 // must never be copied) and nilfunc (comparisons of funcs against nil,
@@ -18,7 +17,6 @@ import (
 	"golang.org/x/tools/go/analysis/passes/copylock"
 	"golang.org/x/tools/go/analysis/passes/nilfunc"
 
-	"essio/internal/vetters/colparity"
 	"essio/internal/vetters/determinism"
 	"essio/internal/vetters/mergefields"
 	"essio/internal/vetters/mmapalias"
@@ -30,7 +28,6 @@ import (
 // All returns every essvet analyzer, in stable name order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		colparity.Analyzer,
 		copylock.Analyzer,
 		determinism.Analyzer,
 		mergefields.Analyzer,

@@ -62,7 +62,7 @@ func TestChunkedFileAccumulatorsMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqN, err := essio.CopyTrace(essio.TeeSinks(seqSum, seqInter, seqHeat), src)
+	seqN, err := essio.CopyTraceCols(essio.TeeSinks(seqSum, seqInter, seqHeat), src)
 	src.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestChunkedFileAccumulatorsMatchSequential(t *testing.T) {
 			sums[i] = essio.NewSummaryAcc("t", res.Duration, res.Nodes)
 			inters[i] = essio.NewInterAccessAcc()
 			heats[i] = essio.NewHeatAcc()
-			n, err := essio.CopyTrace(essio.TeeSinks(sums[i], inters[i], heats[i]), c)
+			n, err := essio.CopyTraceCols(essio.TeeSinks(sums[i], inters[i], heats[i]), c)
 			c.Close()
 			if err != nil {
 				t.Fatal(err)
@@ -110,15 +110,15 @@ func TestChunkedFileAccumulatorsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestBatchSourceMatchesMerged pins Result.BatchSource to the merged
-// slice.
-func TestBatchSourceMatchesMerged(t *testing.T) {
+// TestResultSourceColsMatchMerged pins Result.Source, drained a columnar
+// batch at a time, to the merged slice.
+func TestResultSourceColsMatchMerged(t *testing.T) {
 	res, err := essio.Run(essio.SmallConfig(essio.NBody, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := essio.NewTraceCollector(len(res.Merged))
-	n, err := essio.CopyTraceBatches(c, res.BatchSource())
+	n, err := essio.CopyTraceCols(c, essio.ToTraceColSource(res.Source()))
 	if err != nil {
 		t.Fatal(err)
 	}

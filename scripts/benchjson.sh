@@ -5,10 +5,12 @@
 #
 # Usage: scripts/benchjson.sh [bench-regex] [output-file]
 #
-#   bench-regex   which benchmarks to run (go test -bench syntax).
-#                 Defaults to the fast microbenchmarks; pass '.' for
-#                 everything (the Table/Figure/Ablation benchmarks run
-#                 full experiments and take minutes each).
+#   bench-regex   which benchmarks to run (go test -bench syntax), as a
+#                 flat list of |-separated alternatives. Defaults to the
+#                 fast microbenchmarks; pass '.' for everything (the
+#                 Table/Figure/Ablation benchmarks run full experiments
+#                 and take minutes each). The script fails if any
+#                 alternative matches no benchmark.
 #   output-file   defaults to BENCH_<YYYYMMDD>.json in the repo root
 #                 (BENCH_<YYYYMMDD>.N.json if that already exists).
 #
@@ -26,7 +28,7 @@ echo "gating on go vet + essvet" >&2
 go vet ./... || { echo "benchjson.sh: go vet failed, not benching" >&2; exit 1; }
 go run ./cmd/essvet ./... || { echo "benchjson.sh: essvet failed, not benching" >&2; exit 1; }
 
-micro='DiskService|ElevatorSubmit|TraceMarshal|EngineEvents|EngineStep|MergeBatch|MergeStreaming|MergeHeap|MergeLoserTree|CharacterizeParallel|CharacterizeStreaming|CharacterizeColumnar|CharacterizeObs|CharacterizeTrace|ColWrite|ColRead|ColMmap|BufferCacheHit|EthernetTransfer|PVMBarrier16|WaveletTransform512|PPMStep240x480|NBodyStep8K'
+micro='DiskService|ElevatorSubmit|TraceMarshal|EngineEvents|EngineStep|MergeBatch$|MergeStreaming|MergeHeap|MergeLoserTree$|CharacterizeParallel|CharacterizeStreaming|CharacterizeColumnar|CharacterizeObs|CharacterizeTrace|ColWrite|ColRead|ColMmapScan|BufferCacheHit|EthernetTransfer|PVMBarrier16|WaveletTransform512|PPMStep240x480|NBodyStep8K'
 slow='E1Sharded'
 pattern=${1:-"$micro|$slow"}
 out=${2:-}
@@ -57,6 +59,27 @@ else
     # into one artifact.
     go test -run '^$' -bench "$micro" -benchtime "$micro_benchtime" . ./internal/trace | tee "$raw" >&2
     go test -run '^$' -bench "$slow" -benchtime "$slow_benchtime" . | tee -a "$raw" >&2
+fi
+
+# go test -bench silently skips an alternative that matches nothing, so a
+# deleted or renamed benchmark would quietly drop a number from the
+# trajectory: refuse to write the artifact unless every alternative of
+# the pattern matched at least one benchmark that ran.
+names=$(awk '/^Benchmark/ { n = $1; sub(/-[0-9]+$/, "", n); sub(/\/.*/, "", n); print n }' "$raw" | sort -u)
+missing=
+set -f
+old_ifs=$IFS
+IFS='|'
+for alt in $pattern; do
+    if ! printf '%s\n' "$names" | grep -Eq -- "$alt"; then
+        missing="$missing $alt"
+    fi
+done
+IFS=$old_ifs
+set +f
+if [ -n "$missing" ]; then
+    echo "benchjson.sh: no benchmark matched:$missing" >&2
+    exit 1
 fi
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
