@@ -104,13 +104,3 @@ func (a *InterAccessAcc) Add(r trace.Record) error {
 	a.Observe(r.Sector, r.Time)
 	return nil
 }
-
-// addRows folds recs into acc one record at a time through the row
-// oracle.
-func addRows(acc interface{ Add(trace.Record) error }, recs []trace.Record) {
-	for _, r := range recs {
-		if err := acc.Add(r); err != nil {
-			panic(err)
-		}
-	}
-}
