@@ -1,18 +1,24 @@
-package core_test
+package core
+
+// Column-propagation check for the Profiler: perturbing any one column
+// of a sample batch must change the state its AddCols leaves behind.
+// The Profiler reads all seven columns, directly or through the
+// analysis accumulators it feeds, so a dropped column read is reported
+// by name.
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
-	"essio/internal/core"
 	"essio/internal/sim"
 	"essio/internal/trace"
 )
 
-// colBatch builds a columnar workload exercising every column.
-func colBatch() *trace.ColBatch {
-	b := new(trace.ColBatch)
+func TestProfilerAddColsPropagatesEveryColumn(t *testing.T) {
+	batch := new(trace.ColBatch)
 	for i := 0; i < 48; i++ {
-		b.AppendRecord(trace.Record{
+		batch.AppendRecord(trace.Record{
 			Time:    sim.Time(i) * sim.Time(sim.Second/8),
 			Sector:  uint32(1000 * i),
 			Count:   uint16(8 + i%3),
@@ -22,84 +28,33 @@ func colBatch() *trace.ColBatch {
 			Origin:  trace.Origin(i % 7),
 		})
 	}
-	return b
-}
-
-// leakyColAcc drops the sector column in AddCols on purpose: the
-// checker must notice that perturbing Sectors changes nothing.
-type leakyColAcc struct {
-	timeSum sim.Time
-	secSum  uint64
-}
-
-func (l *leakyColAcc) AddCols(cols *trace.ColBatch) error {
-	for _, t := range cols.Times {
-		l.timeSum += t
+	// fold counts an AddCols error or panic as noticing a perturbation,
+	// since validity and geometry checks read the column.
+	fold := func(b *trace.ColBatch) (p *Profiler, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("%v", r)
+			}
+		}()
+		p = NewProfiler("wl", sim.Duration(10*sim.Second), 2, 1<<20)
+		p.SetAnchor(0)
+		return p, p.AddCols(b)
 	}
-	// Sectors deliberately ignored; secSum stays zero.
-	return nil
-}
-
-func TestColDropsCatchesDroppedColumn(t *testing.T) {
-	drops, err := core.ColDrops(
-		func() any { return &leakyColAcc{} },
-		colBatch(),
-		[]string{"Time", "Sector"},
-	)
+	base, err := fold(batch)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("unperturbed AddCols: %v", err)
 	}
-	if len(drops) != 1 || drops[0] != "Sector" {
-		t.Fatalf("drops = %v, want [Sector]", drops)
-	}
-}
-
-func TestColDropsHonorsIgnores(t *testing.T) {
-	drops, err := core.ColDrops(
-		func() any { return &leakyColAcc{} },
-		colBatch(),
-		[]string{"Time", "Sector"},
-		"Sector",
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(drops) != 0 {
-		t.Fatalf("drops = %v, want none with Sector ignored", drops)
-	}
-}
-
-func TestColDropsRejectsBadInput(t *testing.T) {
-	if _, err := core.ColDrops(func() any { return &struct{ x int }{} }, colBatch(), nil); err == nil {
-		t.Fatal("expected error for type without AddCols")
-	}
-	if _, err := core.ColDrops(func() any { return &leakyColAcc{} }, new(trace.ColBatch), nil); err == nil {
-		t.Fatal("expected error for empty batch")
-	}
-	if _, err := core.ColDrops(func() any { return &leakyColAcc{} }, colBatch(), []string{"Bogus"}); err == nil {
-		t.Fatal("expected error for unknown field")
-	}
-}
-
-// TestProfilerAddColsPropagatesEveryColumn runs the mutation check over
-// the full Profiler: its row path reads every Record field (directly or
-// through the sub-accumulators it feeds), its AddCols carries no
-// //essvet:colignore marker, so the field list is all seven and the
-// ignore list is empty — byte-mirroring the static markers.
-func TestProfilerAddColsPropagatesEveryColumn(t *testing.T) {
-	drops, err := core.ColDrops(
-		func() any {
-			p := core.NewProfiler("wl", sim.Duration(10*sim.Second), 2, 1<<20)
-			p.SetAnchor(0)
-			return p
-		},
-		colBatch(),
-		[]string{"Time", "Sector", "Count", "Pending", "Op", "Node", "Origin"},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(drops) > 0 {
-		t.Fatalf("Profiler.AddCols drops columns of fields %v", drops)
+	for _, col := range []string{"Times", "Sectors", "Counts", "Pendings", "Ops", "Nodes", "Origins"} {
+		propagated := false
+		for variant := 0; variant < 2 && !propagated; variant++ {
+			c := new(trace.ColBatch)
+			c.AppendCols(batch)
+			perturb(reflect.ValueOf(c).Elem().FieldByName(col), variant)
+			got, err := fold(c)
+			propagated = err != nil || !reflect.DeepEqual(got, base)
+		}
+		if !propagated {
+			t.Errorf("Profiler.AddCols drops column %s", col)
+		}
 	}
 }
