@@ -410,6 +410,7 @@ func BenchmarkE1Sharded(b *testing.B) {
 }
 
 func BenchmarkWaveletTransform512(b *testing.B) {
+	b.ReportAllocs()
 	img := wavelet.SyntheticImage(512, 1)
 	for i := 0; i < b.N; i++ {
 		g, err := wavelet.FromBytes(img, 512)
@@ -423,6 +424,7 @@ func BenchmarkWaveletTransform512(b *testing.B) {
 }
 
 func BenchmarkPPMStep240x480(b *testing.B) {
+	b.ReportAllocs()
 	g := ppm.NewGrid(240, 480)
 	g.InitBlast(0)
 	b.ResetTimer()
@@ -432,6 +434,7 @@ func BenchmarkPPMStep240x480(b *testing.B) {
 }
 
 func BenchmarkNBodyStep8K(b *testing.B) {
+	b.ReportAllocs()
 	s := nbody.NewPlummer(8192, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -90,6 +90,19 @@ func TestBlastConserves2D(t *testing.T) {
 	}
 }
 
+// TestStepAllocsIndependentOfGridSize guards the sweeps against allocating
+// per strip: one Step allocates as often at 240×480 as at 16×16.
+func TestStepAllocsIndependentOfGridSize(t *testing.T) {
+	allocs := func(nx, ny int) float64 {
+		g := NewGrid(nx, ny)
+		g.InitBlast(0)
+		return testing.AllocsPerRun(3, func() { g.Step(g.CFL(0.4)) })
+	}
+	if small, large := allocs(16, 16), allocs(240, 480); large != small {
+		t.Fatalf("Step allocates %v times at 240×480, %v at 16×16", large, small)
+	}
+}
+
 func TestCFLPositiveAndStable(t *testing.T) {
 	g := NewGrid(32, 32)
 	g.InitBlast(1)
