@@ -10,6 +10,7 @@
 package disk
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -19,6 +20,15 @@ import (
 
 // SectorSize is the sector size in bytes.
 const SectorSize = 512
+
+// The sector store keeps 4 KiB pages of pageSectors sectors.
+const (
+	pageSectors = 8
+	pageSize    = pageSectors * SectorSize
+)
+
+// zeroPage is what an absent page holds; it is never written.
+var zeroPage [pageSize]byte
 
 // Params describes the drive's geometry and timing.
 type Params struct {
@@ -73,12 +83,15 @@ type Stats struct {
 // Disk is one simulated drive. Timing and data are separate concerns: the
 // driver asks for a service time and schedules completion itself, while
 // ReadAt/WriteAt move bytes instantaneously. Sector contents are stored
-// sparsely; never-written sectors read as zeros.
+// sparsely, in 4 KiB pages of eight sectors keyed by sector/8. An absent
+// page reads as zeros, so a page is created only by the first write of
+// non-zero bytes into it: never-written sectors, and zeros written where
+// nothing was (mkfs's inode tables), cost no memory.
 type Disk struct {
 	e       *sim.Engine
 	p       Params
 	headCyl int
-	data    map[uint32][]byte // sector -> 512-byte content
+	pages   map[uint32]*[pageSize]byte // sector/pageSectors -> page
 	bad     []badRange
 	stats   Stats
 	om      diskMetrics
@@ -123,7 +136,7 @@ func New(e *sim.Engine, p Params) *Disk {
 	if p.TransferRate <= 0 || p.RPM <= 0 {
 		panic("disk: invalid rates")
 	}
-	return &Disk{e: e, p: p, data: make(map[uint32][]byte)}
+	return &Disk{e: e, p: p, pages: make(map[uint32]*[pageSize]byte)}
 }
 
 // Params returns the drive parameters.
@@ -275,15 +288,16 @@ func (d *Disk) ReadAt(sector uint32, buf []byte) error {
 	if sector+n > d.p.Sectors || sector+n < sector {
 		return fmt.Errorf("disk: read [%d,+%d) beyond capacity", sector, n)
 	}
-	for i := uint32(0); i < n; i++ {
-		dst := buf[i*SectorSize : (i+1)*SectorSize]
-		if src, ok := d.data[sector+i]; ok {
-			copy(dst, src)
+	off := int(sector%pageSectors) * SectorSize
+	for pg := sector / pageSectors; len(buf) > 0; pg++ {
+		run := buf[:min(len(buf), pageSize-off)]
+		if page := d.pages[pg]; page != nil {
+			copy(run, page[off:])
 		} else {
-			for j := range dst {
-				dst[j] = 0
-			}
+			clear(run)
 		}
+		buf = buf[len(run):]
+		off = 0
 	}
 	return nil
 }
@@ -297,20 +311,22 @@ func (d *Disk) WriteAt(sector uint32, buf []byte) error {
 	if sector+n > d.p.Sectors || sector+n < sector {
 		return fmt.Errorf("disk: write [%d,+%d) beyond capacity", sector, n)
 	}
-	for i := uint32(0); i < n; i++ {
-		s, ok := d.data[sector+i]
-		if !ok {
-			s = make([]byte, SectorSize)
-			d.data[sector+i] = s
+	off := int(sector%pageSectors) * SectorSize
+	for pg := sector / pageSectors; len(buf) > 0; pg++ {
+		run := buf[:min(len(buf), pageSize-off)]
+		page := d.pages[pg]
+		if page == nil && !bytes.Equal(run, zeroPage[:len(run)]) {
+			page = new([pageSize]byte)
+			d.pages[pg] = page
 		}
-		copy(s, buf[i*SectorSize:(i+1)*SectorSize])
+		if page != nil {
+			copy(page[off:], run)
+		}
+		buf = buf[len(run):]
+		off = 0
 	}
 	return nil
 }
-
-// StoredSectors reports how many distinct sectors hold written data (used by
-// tests and capacity accounting).
-func (d *Disk) StoredSectors() int { return len(d.data) }
 
 func abs(x int) int {
 	if x < 0 {

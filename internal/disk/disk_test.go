@@ -149,8 +149,15 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if !bytes.Equal(in, out) {
 		t.Fatal("data round trip mismatch")
 	}
-	if d.StoredSectors() != 3 {
-		t.Fatalf("StoredSectors = %d, want 3", d.StoredSectors())
+	// The neighbours share the run's 4 KiB page but were never written.
+	for _, sector := range []uint32{499, 503} {
+		nb := make([]byte, SectorSize)
+		if err := d.ReadAt(sector, nb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(nb, make([]byte, SectorSize)) {
+			t.Fatalf("sector %d next to the written run is not zero", sector)
+		}
 	}
 }
 
@@ -219,24 +226,62 @@ func TestDeterministicServiceTimes(t *testing.T) {
 	}
 }
 
+// TestQuickDataRoundTrip applies random WriteAt/ReadAt sequences to a disk
+// and to a flat byte slice standing for it, and requires identical reads.
+// Runs of 1–24 sectors straddle pages, a quarter of them end at the last
+// sector (the capacity is not a whole number of pages), and a third of the
+// writes are zeros, over written data or into absent pages. Only writes of
+// non-zero bytes may create pages.
 func TestQuickDataRoundTrip(t *testing.T) {
-	e := sim.NewEngine(5)
-	defer e.Close()
-	d := New(e, DefaultParams())
-	f := func(sector uint32, nsec uint8, fill byte) bool {
-		n := int(nsec%8) + 1
-		sector %= d.Sectors() - uint32(n)
-		in := bytes.Repeat([]byte{fill}, n*SectorSize)
-		if err := d.WriteAt(sector, in); err != nil {
+	p := DefaultParams()
+	p.Sectors = 1003
+	f := func(seed int64) bool {
+		e := sim.NewEngine(5)
+		defer e.Close()
+		d := New(e, p)
+		model := make([]byte, int(p.Sectors)*SectorSize)
+		nonZero := map[uint32]bool{} // pages some write put non-zero bytes in
+		rng := rand.New(rand.NewSource(seed))
+		for op := 0; op < 48; op++ {
+			n := 1 + rng.Intn(24)
+			sector := int(p.Sectors) - n
+			if rng.Intn(4) != 0 {
+				sector = rng.Intn(sector + 1)
+			}
+			want := model[sector*SectorSize : (sector+n)*SectorSize]
+			buf := make([]byte, len(want))
+			rng.Read(buf) // a write's data, or stale bytes a read must replace
+			if rng.Intn(2) == 0 {
+				if rng.Intn(3) == 0 {
+					clear(buf)
+				}
+				if err := d.WriteAt(uint32(sector), buf); err != nil {
+					t.Log(err)
+					return false
+				}
+				copy(want, buf)
+				for i := 0; i < n; i++ {
+					if !bytes.Equal(buf[i*SectorSize:(i+1)*SectorSize], make([]byte, SectorSize)) {
+						nonZero[uint32(sector+i)/pageSectors] = true
+					}
+				}
+			} else if err := d.ReadAt(uint32(sector), buf); err != nil || !bytes.Equal(buf, want) {
+				t.Logf("read [%d,+%d): err %v, match %v", sector, n, err, bytes.Equal(buf, want))
+				return false
+			}
+		}
+		all := make([]byte, len(model))
+		if err := d.ReadAt(0, all); err != nil || !bytes.Equal(all, model) {
+			t.Logf("whole-disk read: err %v, match %v", err, bytes.Equal(all, model))
 			return false
 		}
-		out := make([]byte, len(in))
-		if err := d.ReadAt(sector, out); err != nil {
+		if len(d.pages) != len(nonZero) {
+			t.Logf("%d pages stored, %d written with non-zero bytes", len(d.pages), len(nonZero))
 			return false
 		}
-		return bytes.Equal(in, out)
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
