@@ -2,10 +2,23 @@ package extfs
 
 import (
 	"fmt"
+	"math/bits"
 
 	"essio/internal/sim"
 	"essio/internal/trace"
 )
+
+// firstClear returns the lowest clear bit of bitmap bm, where bit i is
+// bm[i/8]>>(i%8)&1, or 8*len(bm) when every bit is set. Full bytes are
+// skipped whole.
+func firstClear(bm []byte) uint32 {
+	for i, b := range bm {
+		if b != 0xFF {
+			return uint32(i)*8 + uint32(bits.TrailingZeros8(^b))
+		}
+	}
+	return uint32(len(bm)) * 8
+}
 
 // allocInodeIn allocates an inode, preferring the given group and scanning
 // forward (wrapping) from it. Inode numbers are 1-based.
@@ -22,12 +35,9 @@ func (f *FS) allocInodeIn(p *sim.Proc, group int) (uint32, error) {
 		}
 		var found uint32
 		err := f.updateBlock(p, gd.InodeBitmap, trace.OriginMeta, func(bm []byte) {
-			for idx := uint32(0); idx < InodesPerGroup; idx++ {
-				if bm[idx/8]&(1<<(idx%8)) == 0 {
-					bm[idx/8] |= 1 << (idx % 8)
-					found = uint32(g)*InodesPerGroup + idx + 1
-					return
-				}
+			if idx := firstClear(bm[:InodesPerGroup/8]); idx < InodesPerGroup {
+				bm[idx/8] |= 1 << (idx % 8)
+				found = uint32(g)*InodesPerGroup + idx + 1
 			}
 		})
 		if err != nil {
@@ -89,12 +99,9 @@ func (f *FS) allocBlockNear(p *sim.Proc, group int) (uint32, error) {
 		}
 		var found uint32
 		err := f.updateBlock(p, gd.BlockBitmap, trace.OriginMeta, func(bm []byte) {
-			for idx := uint32(0); idx < BlocksPerGroup; idx++ {
-				if bm[idx/8]&(1<<(idx%8)) == 0 {
-					bm[idx/8] |= 1 << (idx % 8)
-					found = uint32(1) + uint32(g)*BlocksPerGroup + idx
-					return
-				}
+			if idx := firstClear(bm[:BlocksPerGroup/8]); idx < BlocksPerGroup {
+				bm[idx/8] |= 1 << (idx % 8)
+				found = uint32(1) + uint32(g)*BlocksPerGroup + idx
 			}
 		})
 		if err != nil {
