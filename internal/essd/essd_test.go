@@ -450,32 +450,44 @@ func TestIngestAdmissionControl(t *testing.T) {
 	defer ts.Close()
 
 	pr, pw := io.Pipe()
+	// Closing the pipe ends the held upload, which ts.Close waits for.
+	defer pw.Close()
 	firstDone := make(chan ingestEvent, 1)
 	go func() {
 		firstDone <- lastEvent(t, ts.Client(), ts.URL+"/v1/traces", pr)
 	}()
 
-	// The slot is held once the handler is reading the pipe; until then
-	// rivals may still sneak in, so poll for the first 429.
-	recs := encodeBinary(t, testRecords(8))
+	// Send the rival only once the held upload owns the slot. A rival
+	// sent earlier can take the slot first and get the held upload
+	// rejected instead, and the server then sends that 429 only after
+	// reading the rest of its body.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, err := ts.Client().Post(ts.URL+"/v1/models", "application/octet-stream",
-			bytes.NewReader(recs))
+		mresp, err := ts.Client().Get(ts.URL + "/metrics")
 		if err != nil {
-			t.Fatalf("rival post: %v", err)
+			t.Fatalf("metrics: %v", err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusTooManyRequests {
-			if resp.Header.Get("Retry-After") == "" {
-				t.Error("429 without Retry-After")
-			}
+		page, _ := io.ReadAll(mresp.Body)
+		mresp.Body.Close()
+		if strings.Contains(string(page), "\nessio_wall_ingest_active 1\n") {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("never saw a 429 while the upload slot was held")
+			t.Fatal("the held upload never took the upload slot")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/v1/models", "application/octet-stream",
+		bytes.NewReader(encodeBinary(t, testRecords(8))))
+	if err != nil {
+		t.Fatalf("rival post: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("rival got status %d while the upload slot was held, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("429 without Retry-After")
 	}
 
 	if _, err := pw.Write(encodeBinary(t, testRecords(4))); err != nil {
